@@ -26,8 +26,8 @@ int main() {
     double orig[3] = {0, 0, 0}, bqo[3] = {0, 0, 0};
     for (size_t i = 0; i < c.original.size(); ++i) {
       const int g = static_cast<int>(groups[i]);
-      orig[g] += static_cast<double>(c.original[i].metrics.total_ns);
-      bqo[g] += static_cast<double>(c.bqo[i].metrics.total_ns);
+      orig[g] += static_cast<double>(c.original[i].metrics.cpu_ns);
+      bqo[g] += static_cast<double>(c.bqo[i].metrics.cpu_ns);
     }
     const double total = orig[0] + orig[1] + orig[2];
     std::printf(

@@ -1,10 +1,12 @@
 // Morsel-parallel scan-stage throughput: the wall time to drain one
-// filter-probing scan (hash -> MayContainBatch -> gather) at 1..N worker
-// threads, through the same ScanOperator/ExchangeOperator shapes ExecutePlan
+// filter-probing scan (hash -> MayContainBatch -> gather) into
+// SUM(measure) GROUP BY d_fk at 1..N worker threads, through the same
+// ScanOperator/ExchangeOperator/AggregateOperator shapes ExecutePlan
 // compiles. Prints one machine-readable JSON line per (filter kind, thread
 // count) for the BENCH_*.json trajectory, and verifies on every run that the
-// result checksum and the merged filter stats are identical across thread
-// counts — the speedup must be free of semantic drift.
+// aggregate's checksum, group count and total and the merged filter and
+// scan stats are identical across thread counts — the speedup must be free
+// of semantic drift (exit 1 on any mismatch).
 //
 // Knobs: BQO_SCAN_ROWS (default 4M), BQO_MAX_THREADS (default: hardware
 // concurrency, at least 4 so the scaling shape is visible even on small
@@ -19,6 +21,7 @@
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
+#include "src/exec/aggregate.h"
 #include "src/exec/exchange.h"
 #include "src/exec/scan.h"
 #include "src/workload/datagen.h"
@@ -48,8 +51,10 @@ int MaxThreadsFromEnv() {
 
 struct DrainResult {
   int64_t wall_ns = 0;
-  uint64_t checksum = 0;  ///< order-independent row checksum
-  int64_t rows_out = 0;
+  uint64_t checksum = 0;  ///< order-independent aggregate checksum
+  int64_t groups = 0;
+  int64_t total = 0;
+  int64_t rows_out = 0;  ///< scan output rows (merged stats)
   int64_t probed = 0;
   int64_t passed = 0;
 };
@@ -74,35 +79,37 @@ DrainResult DrainOnce(const Table* table, FilterKind kind, int threads) {
   rf.filter_id = 0;
   rf.key_positions.push_back(table->ColumnIndex("d_fk"));
   OutputSchema schema({BoundColumn{0, "d_fk"}, BoundColumn{0, "measure"}});
+  AggSpec spec;
+  spec.kind = AggKind::kSum;
+  spec.sum_column = BoundColumn{0, "measure"};
+  spec.has_group_by = true;
+  spec.group_column = BoundColumn{0, "d_fk"};
   auto scan = std::make_unique<ScanOperator>(
       table, nullptr, schema, std::vector<ResolvedFilter>{rf}, &runtime,
       "scan t");
-  std::unique_ptr<PhysicalOperator> op;
+  const ScanOperator* scan_raw = scan.get();
+  std::unique_ptr<PhysicalOperator> child;
   if (threads > 1) {
     ExecConfig exec;
     exec.threads = threads;
-    op = std::make_unique<ExchangeOperator>(std::move(scan), exec, "xchg t");
+    child = std::make_unique<ExchangeOperator>(std::move(scan), exec, spec,
+                                               "xchg t");
   } else {
-    op = std::move(scan);
+    child = std::move(scan);
   }
+  AggregateOperator agg(std::move(child), spec);
 
   DrainResult result;
   const auto start = std::chrono::steady_clock::now();
-  op->Open();
-  Batch batch;
-  while (op->Next(&batch)) {
-    for (int r = 0; r < batch.num_rows; ++r) {
-      // Commutative checksum: batch arrival order differs across threads.
-      result.checksum +=
-          Mix64(static_cast<uint64_t>(batch.col(0)[r]) * 31 +
-                static_cast<uint64_t>(batch.col(1)[r]));
-    }
-    result.rows_out += batch.num_rows;
-  }
-  op->Close();
+  agg.Open();
+  agg.Close();
   result.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+  result.checksum = agg.ResultChecksum();
+  result.groups = agg.NumGroups();
+  result.total = agg.TotalValue();
+  result.rows_out = scan_raw->stats().rows_out;
   result.probed = runtime.stats[0].probed;
   result.passed = runtime.stats[0].passed;
   return result;
@@ -156,6 +163,7 @@ int main() {
         base = best;
         base_ns = static_cast<double>(best.wall_ns);
       } else if (best.checksum != base.checksum ||
+                 best.groups != base.groups || best.total != base.total ||
                  best.rows_out != base.rows_out ||
                  best.probed != base.probed || best.passed != base.passed) {
         std::fprintf(stderr,

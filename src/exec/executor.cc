@@ -10,6 +10,7 @@
 #include "src/exec/merge_join.h"
 #include "src/exec/pipeline.h"
 #include "src/exec/scan.h"
+#include "src/server/worker_pool.h"
 
 namespace bqo {
 
@@ -238,18 +239,16 @@ std::unique_ptr<AggregateOperator> CompilePlan(
   // Pipeline-parallel execution: one exchange directly below the aggregate
   // drains the topmost probe pipeline (scan -> probe -> ... -> probe) with
   // N workers; hash-join builds below parallelize inside their own Open().
-  // The aggregate is compiled *into* the exchange (pre-aggregating drain):
-  // each worker folds its probe-chain output into a thread-local partial
-  // and the aggregate sink merges the partials instead of consuming raw
-  // batches, so no serial stage or cross-thread batch queue remains above
-  // the top probe chain. threads == 1 compiles the exact single-threaded
-  // plan, bit-for-bit.
+  // The aggregate is compiled *into* the exchange: each worker folds its
+  // probe-chain output into a thread-local partial and the aggregate sink
+  // merges the partials, so no serial stage and no cross-thread batch
+  // traffic remains above the top probe chain. threads == 1 compiles the
+  // exact single-threaded plan, bit-for-bit.
   if (options.exec.ResolvedThreads() > 1 &&
       BuildProbePipeline(root.get()).parallel()) {
     auto exchange = std::make_unique<ExchangeOperator>(
-        std::move(root), options.exec, "xchg pipeline");
+        std::move(root), options.exec, options.agg, "xchg pipeline");
     exchange->stats().plan_node_id = plan.root->id;
-    exchange->EnablePreAggregation(options.agg);
     root = std::move(exchange);
   }
   return std::make_unique<AggregateOperator>(std::move(root), options.agg);

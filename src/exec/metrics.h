@@ -60,11 +60,10 @@ struct OperatorStats {
   /// is immune to co-running queries on the shared WorkerPool.
   int64_t worker_cpu_ns = 0;
 
-  // == Aggregation counters (kAggregate, and kExchange in pre-aggregating
-  // mode) ==
+  // == Aggregation counters (kAggregate and kExchange) ==
   //
   // Per-worker accumulation, merged once (same discipline as FilterStats
-  // below): each pre-aggregating exchange worker counts the rows it folds
+  // below): each exchange worker counts the rows it folds
   // into its thread-local PartialAggState; DrainPartials() sums them into
   // the exchange's counters after joining the workers, and the aggregate
   // sink records the merged totals. agg_rows_folded is therefore exactly

@@ -16,17 +16,14 @@
 // re-entrant ProbeState per join on the chain) and pull scan morsels off the
 // shared cursor, running hash -> MayContainBatch -> gather -> probe -> probe
 // entirely thread-locally; the bitvector filters and join tables are
-// read-only by the time any pipeline runs. Three draining modes:
+// read-only by the time any pipeline runs. Two draining modes:
 //
-//  * Free-running (PipelineParallelNext): batches may span morsels; used by
-//    ExchangeOperator above the topmost probe chain, where the consumer (the
-//    aggregate) is order-independent.
-//  * Pre-aggregating (ExchangeOperator::EnablePreAggregation): free-running,
-//    but each worker folds its output batches into a thread-local
-//    PartialAggState (aggregate.h) instead of queueing them; the aggregate
-//    sink merges the partials. This is how the executor runs the plan's
-//    final aggregate wide — the fold commutes, so the merged group map,
-//    total, and checksum equal the single-threaded fold exactly.
+//  * Pre-aggregating (ExchangeOperator, via PipelineParallelNext): batches
+//    may span morsels, and each worker folds its output batches into a
+//    thread-local PartialAggState (aggregate.h); the aggregate sink merges
+//    the partials. This is how the executor runs the plan's topmost probe
+//    chain and final aggregate wide — the fold commutes, so the merged
+//    group map, total, and checksum equal the single-threaded fold exactly.
 //  * Canonical (DrainPipelineParallel): workers claim one morsel at a time
 //    and the per-morsel output chunks are reassembled in morsel order, which
 //    equals the single-threaded row order exactly (scan rows stream in

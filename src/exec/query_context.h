@@ -29,13 +29,13 @@
 // context is shared with workers (it is not synchronized for concurrent
 // writes). ShouldStop() self-cancels with kDeadlineExceeded once the
 // deadline passes, so deadline expiry needs no watchdog thread: whichever
-// worker (or parked consumer, via a deadline-aware wait) notices first
+// worker (or parked waiter, via a deadline-aware wait) notices first
 // cancels everyone else through the flag.
 //
 // == Cancel listeners ==
 //
 // Cooperative polling cannot wake a thread parked in a condition-variable
-// wait (an exchange consumer in Next(), a client waiting for admission).
+// wait (a client waiting for admission).
 // Such waiters register a cancel listener — typically "lock my mutex,
 // notify my CV" — which Cancel() invokes under the context mutex, so
 // RemoveCancelListener() (same mutex) cannot return while a callback is

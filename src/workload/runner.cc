@@ -121,8 +121,7 @@ std::vector<QueryGroup> GroupBySelectivity(
   std::vector<size_t> order(baseline_runs.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return baseline_runs[a].metrics.total_ns <
-           baseline_runs[b].metrics.total_ns;
+    return baseline_runs[a].metrics.cpu_ns < baseline_runs[b].metrics.cpu_ns;
   });
   std::vector<QueryGroup> groups(baseline_runs.size(), QueryGroup::kM);
   const size_t third = baseline_runs.size() / 3;

@@ -12,9 +12,10 @@
 //    without crashing, and the very next clean run on the same pool
 //    reproduces the threads==1 baseline exactly — a failed query never
 //    poisons the WorkerPool or its neighbors.
-//  * Raw-mode exchange wakeup: a consumer parked in Next() on a starved
-//    pool is woken promptly by Cancel and by deadline expiry — while the
-//    pool is still pinned — instead of sleeping until producers finish.
+//  * Progress guarantee: with the pool's only worker pinned by a blocker
+//    task, a parallel plan still completes through Wait()-helping with
+//    threads==1 parity, and a query cancelled mid-drain still returns its
+//    cancel status promptly — every drain ends in Wait().
 //  * Serving-layer overload: bounded admission queue sheds with
 //    kResourceExhausted, admission waits are bounded by the service
 //    timeout and by the query deadline, a cancelled waiter wakes promptly,
@@ -28,12 +29,12 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/fault_injector.h"
-#include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/query_context.h"
 #include "src/plan/pushdown.h"
@@ -322,105 +323,105 @@ TEST(MidDrainCancellation, ExpiredDeadlineStopsExecution) {
   EXPECT_TRUE(ctx.status().IsDeadlineExceeded());
 }
 
-// ---- Raw-mode exchange: parked consumer wakes on cancel/deadline ----
+// ---- Progress guarantee: every drain ends in Wait(), which helps ----
 
-/// Harness: a raw-mode exchange on a pool of 1 whose only worker is pinned
-/// by a blocker task, so the exchange's producer tasks stay queued and a
-/// consumer calling Next() parks on an empty queue. The consumer must be
-/// woken by the query's cancellation — while the pool is still pinned —
-/// not by producer completion.
-class RawExchangeWakeupTest : public ::testing::Test {
- protected:
-  void SetUp() override {
+/// Resizes the global pool to one worker and holds that worker with a
+/// blocker task, so every task a drain spawns stays queued unless the
+/// drain's own TaskGroup::Wait() runs it. Release() (or the destructor)
+/// unpins the worker and restores the env-sized pool.
+class PinnedPool {
+ public:
+  PinnedPool() {
     WorkerPool::ResetGlobal(1);
-    db_ = MakeStarDb(1, 20000, 200, {-1.0}, 515);
-    fact_ = db_->catalog.GetTable("f").value();
-    runtime_.context = &ctx_;
-
-    OutputSchema schema(
-        {BoundColumn{0, "d0_fk"}, BoundColumn{0, "measure"}});
-    auto scan = std::make_unique<ScanOperator>(
-        fact_, nullptr, schema, std::vector<ResolvedFilter>{}, &runtime_,
-        "scan f");
-    ExecConfig config;
-    config.threads = 2;
-    config.morsel_rows = 1024;
-    exchange_ = std::make_unique<ExchangeOperator>(std::move(scan), config,
-                                                   "xchg f");
-
-    // Pin the pool's single worker BEFORE Open queues producer tasks.
     blocker_ = std::make_unique<WorkerPool::TaskGroup>(&WorkerPool::Global());
-    std::promise<void> occupied;
-    released_ = std::make_shared<std::promise<void>>();
-    std::shared_future<void> release_future(released_->get_future());
-    blocker_->Spawn([&occupied, release_future] {
-      occupied.set_value();
-      release_future.wait();
+    std::shared_future<void> release(released_.get_future());
+    blocker_->Spawn([this, release] {
+      occupied_.set_value();
+      release.wait();
     });
-    occupied.get_future().wait();
-
-    exchange_->Open();
+    occupied_.get_future().wait();
   }
-
-  void TearDown() override {
-    released_->set_value();  // unpin; Close's Shutdown reaps the producers
-    // Destruction order matters: the TaskGroup and the exchange must die
-    // before ResetGlobal destroys the pool they point into (~TaskGroup
-    // Waits on the pool's mutex).
-    blocker_.reset();
-    exchange_->Close();
-    exchange_.reset();
+  ~PinnedPool() {
+    Release();
     WorkerPool::ResetGlobal(0);
   }
+  PinnedPool(const PinnedPool&) = delete;
+  PinnedPool& operator=(const PinnedPool&) = delete;
 
-  std::unique_ptr<TestDb> db_;
-  const Table* fact_ = nullptr;
-  QueryContext ctx_;
-  FilterRuntime runtime_;
-  std::unique_ptr<ExchangeOperator> exchange_;
+  void Release() {
+    if (blocker_ == nullptr) return;
+    released_.set_value();
+    blocker_.reset();  // ~TaskGroup waits for the blocker to finish
+  }
+
+ private:
+  std::promise<void> occupied_;
+  std::promise<void> released_;
   std::unique_ptr<WorkerPool::TaskGroup> blocker_;
-  std::shared_ptr<std::promise<void>> released_;
 };
 
-TEST_F(RawExchangeWakeupTest, CancelWakesParkedConsumer) {
-  std::promise<bool> consumer_done;
-  std::thread consumer([this, &consumer_done] {
-    Batch batch;
-    consumer_done.set_value(exchange_->Next(&batch));
-  });
-
-  // Let the consumer park (no producer can run: the pool is pinned), then
-  // cancel. Without the cancel listener + cancelled-aware predicate the
-  // consumer would sleep until the blocker releases — i.e. forever here.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ctx_.Cancel(Status::Cancelled("client went away"));
-
-  auto done = consumer_done.get_future();
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "consumer stayed parked after Cancel";
-  EXPECT_FALSE(done.get());  // a cancelled query's Next reports exhaustion
-  consumer.join();
-  EXPECT_TRUE(ctx_.status().IsCancelled());
+int64_t ExchangeRowsFolded(const QueryMetrics& m) {
+  for (const OperatorStats& op : m.operators) {
+    if (op.type == OperatorType::kExchange) return op.agg_rows_folded;
+  }
+  return -1;
 }
 
-TEST_F(RawExchangeWakeupTest, DeadlineWakesParkedConsumer) {
-  ctx_.SetDeadlineAfterMs(50);
-  std::promise<bool> consumer_done;
-  std::thread consumer([this, &consumer_done] {
-    Batch batch;
-    consumer_done.set_value(exchange_->Next(&batch));
+/// Runs `plan` on its own thread and waits up to `timeout` for it. On
+/// timeout the pool is unpinned so the query can finish, and nullopt says
+/// the drain did not progress on its own.
+std::optional<QueryMetrics> ExecuteWithin(const Plan& plan,
+                                          const ExecutionOptions& options,
+                                          PinnedPool* pinned,
+                                          std::chrono::seconds timeout) {
+  auto run = std::async(std::launch::async, [&plan, &options] {
+    return ExecutePlan(plan, options);
   });
+  if (run.wait_for(timeout) != std::future_status::ready) {
+    pinned->Release();
+    run.wait();
+    return std::nullopt;
+  }
+  return run.get();
+}
 
-  // Nobody cancels explicitly: the parked consumer itself must notice the
-  // deadline (deadline-aware wait), self-cancel, and return.
-  auto done = consumer_done.get_future();
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "consumer stayed parked past its deadline";
-  EXPECT_FALSE(done.get());
-  consumer.join();
-  EXPECT_TRUE(ctx_.status().IsDeadlineExceeded());
+TEST(ProgressGuarantee, PinnedPoolDrainsThroughWaitHelping) {
+  auto t = MakeStarPlan();
+  const QueryMetrics base = ExecutePlan(t->plan, t->options);
+
+  PinnedPool pinned;
+  ExecutionOptions parallel = t->options;
+  parallel.exec.threads = 4;
+  parallel.exec.morsel_rows = 1024;
+  const std::optional<QueryMetrics> m =
+      ExecuteWithin(t->plan, parallel, &pinned, std::chrono::seconds(30));
+  ASSERT_TRUE(m.has_value()) << "drain stalled behind the pinned worker";
+  ASSERT_GT(ExchangeRowsFolded(*m), 0) << "plan compiled no exchange";
+  ExpectMetricsEqual(base, *m, "pinned pool");
+}
+
+TEST(ProgressGuarantee, MidDrainCancelReturnsWhilePoolPinned) {
+  FaultGuard fault_guard;
+  auto t = MakeStarPlan();
+  ExecutionOptions parallel = t->options;
+  parallel.exec.threads = 4;
+  parallel.exec.morsel_rows = 1024;
+  const int64_t full_rows = ExchangeRowsFolded(ExecutePlan(t->plan, parallel));
+  ASSERT_GT(full_rows, 0);
+
+  PinnedPool pinned;
+  QueryContext ctx;
+  parallel.context = &ctx;
+  // The exchange's first fold hand-off cancels the context, so the cancel
+  // lands mid-drain on every run, with the tasks queued behind the pinned
+  // worker.
+  FaultInjector::Global().Arm(FaultInjector::Site::kExchangePush, 1);
+  const std::optional<QueryMetrics> m =
+      ExecuteWithin(t->plan, parallel, &pinned, std::chrono::seconds(10));
+  ASSERT_TRUE(m.has_value()) << "cancelled drain stalled while pinned";
+  EXPECT_TRUE(ctx.status().IsInternal());
+  EXPECT_NE(ctx.status().message().find("exchange_push"), std::string::npos);
+  EXPECT_LT(ExchangeRowsFolded(*m), full_rows);
 }
 
 // ---- QueryService: deadlines, shedding, bounded waits, fault recovery ----

@@ -1,17 +1,18 @@
 // Morsel-parallel scan correctness: for every filter kind (including an
-// overflowed cuckoo), a scan drained by N exchange workers must produce the
-// same result multiset and the same merged FilterStats/OperatorStats as the
-// single-threaded scan — parallelism is pure performance (and the per-worker
-// accumulate + merge-at-Close discipline keeps the counters exact; see
-// metrics.h). Run under -DBQO_SANITIZE=thread in CI to pin race-freedom.
+// overflowed cuckoo), SUM(measure) GROUP BY key over a scan drained by N
+// exchange workers must produce the same checksum, group count and total,
+// and the same merged FilterStats/OperatorStats, as the single-threaded
+// scan — parallelism is pure performance (and the per-worker accumulate +
+// merge-once discipline keeps the counters exact; see metrics.h). Run under
+// -DBQO_SANITIZE=thread in CI to pin race-freedom.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/exec/aggregate.h"
 #include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/scan.h"
@@ -27,15 +28,17 @@ namespace {
 using ::bqo::testing::MakeStarDb;
 
 struct ManualScanResult {
-  std::vector<std::vector<int64_t>> rows;  ///< sorted lexicographically
+  uint64_t checksum = 0;  ///< order-independent (aggregate.h)
+  int64_t num_groups = 0;
+  int64_t total = 0;
   FilterStats filter_stats;
   int64_t rows_prefilter = 0;
   int64_t rows_out = 0;
 };
 
-/// Drain `table` through a ScanOperator probing `filter` on `key_column`,
-/// behind an exchange when threads > 1. Exercises exactly the compile shape
-/// ExecutePlan uses for leaves.
+/// SUM(measure) GROUP BY `key_column` over a ScanOperator probing `filter`
+/// on `key_column`, behind an exchange when threads > 1 — the compile shape
+/// ExecutePlan uses for a single-table plan.
 ManualScanResult RunManualScan(const Table* table,
                                std::unique_ptr<BitvectorFilter> filter,
                                const std::string& key_column, int threads) {
@@ -49,31 +52,34 @@ ManualScanResult RunManualScan(const Table* table,
   rf.filter_id = 0;
   rf.key_positions.push_back(table->ColumnIndex(key_column));
   OutputSchema schema({BoundColumn{0, key_column}, BoundColumn{0, "measure"}});
+  AggSpec spec;
+  spec.kind = AggKind::kSum;
+  spec.sum_column = BoundColumn{0, "measure"};
+  spec.has_group_by = true;
+  spec.group_column = BoundColumn{0, key_column};
 
   auto scan = std::make_unique<ScanOperator>(
       table, nullptr, schema, std::vector<ResolvedFilter>{rf}, &runtime,
       "scan t");
   ScanOperator* scan_raw = scan.get();
-  std::unique_ptr<PhysicalOperator> op;
+  std::unique_ptr<PhysicalOperator> child;
   if (threads > 1) {
     ExecConfig config;
     config.threads = threads;
     config.morsel_rows = 4096;  // several morsels per worker at test sizes
-    op = std::make_unique<ExchangeOperator>(std::move(scan), config, "xchg t");
+    child = std::make_unique<ExchangeOperator>(std::move(scan), config, spec,
+                                               "xchg t");
   } else {
-    op = std::move(scan);
+    child = std::move(scan);
   }
+  AggregateOperator agg(std::move(child), spec);
 
   ManualScanResult result;
-  op->Open();
-  Batch batch;
-  while (op->Next(&batch)) {
-    for (int r = 0; r < batch.num_rows; ++r) {
-      result.rows.push_back({batch.col(0)[r], batch.col(1)[r]});
-    }
-  }
-  op->Close();
-  std::sort(result.rows.begin(), result.rows.end());
+  agg.Open();
+  agg.Close();
+  result.checksum = agg.ResultChecksum();
+  result.num_groups = agg.NumGroups();
+  result.total = agg.TotalValue();
   result.filter_stats = runtime.stats[0];
   result.rows_prefilter = scan_raw->stats().rows_prefilter;
   result.rows_out = scan_raw->stats().rows_out;
@@ -122,8 +128,10 @@ TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
     for (int threads : {2, 4}) {
       const ManualScanResult par =
           RunManualScan(fact_, MakeHalfDomainFilter(kind), "d0_fk", threads);
-      EXPECT_EQ(par.rows, base.rows)
+      EXPECT_EQ(par.checksum, base.checksum)
           << FilterKindName(kind) << " threads=" << threads;
+      EXPECT_EQ(par.num_groups, base.num_groups) << FilterKindName(kind);
+      EXPECT_EQ(par.total, base.total) << FilterKindName(kind);
       // Merged stats must equal the single-threaded counts exactly (the
       // probe/pass sets are partition-invariant; only probe_batches may
       // differ with morsel boundaries).
@@ -143,7 +151,10 @@ TEST_F(ParallelScanTest, OverflowedCuckooPassesEverythingUnderThreads) {
   EXPECT_EQ(base.filter_stats.passed, base.filter_stats.probed);
   const ManualScanResult par =
       RunManualScan(fact_, MakeOverflowedCuckoo(), "d0_fk", 4);
-  EXPECT_EQ(par.rows, base.rows);
+  EXPECT_EQ(par.checksum, base.checksum);
+  EXPECT_EQ(par.num_groups, base.num_groups);
+  EXPECT_EQ(par.total, base.total);
+  EXPECT_EQ(par.rows_out, base.rows_out);
   EXPECT_EQ(par.filter_stats.probed, base.filter_stats.probed);
   EXPECT_EQ(par.filter_stats.passed, base.filter_stats.passed);
 }

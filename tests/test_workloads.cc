@@ -107,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadTest,
 TEST(Runner, GroupsSplitIntoTerciles) {
   std::vector<QueryRun> runs(9);
   for (int i = 0; i < 9; ++i) {
-    runs[static_cast<size_t>(i)].metrics.total_ns = (i + 1) * 100;
+    runs[static_cast<size_t>(i)].metrics.cpu_ns = (i + 1) * 100;
   }
   const auto groups = GroupBySelectivity(runs);
   int counts[3] = {0, 0, 0};
