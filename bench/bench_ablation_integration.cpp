@@ -19,7 +19,7 @@ int main() {
     std::printf("\n--- %s ---\n", w.name.c_str());
     std::printf("%-26s %12s %16s\n", "mode", "CPU (norm)", "optimize ms tot");
     std::printf("%s\n", std::string(56, '-').c_str());
-    int64_t reference_ns = -1;
+    int64_t reference_cpu_ns = -1;
     for (OptimizerMode mode : kModes) {
       RunOptions options;
       options.repeats = 2;
@@ -29,15 +29,15 @@ int main() {
       std::fprintf(stderr, "[bench] %s / %s...\n", w.name.c_str(),
                    OptimizerModeName(mode));
       const auto runs = RunWorkload(w, mode, options);
-      int64_t total_ns = 0, opt_ns = 0;
+      int64_t cpu_ns = 0, opt_ns = 0;
       for (const QueryRun& r : runs) {
-        total_ns += r.metrics.total_ns;
+        cpu_ns += r.metrics.cpu_ns;
         opt_ns += r.optimize_ns;
       }
-      if (reference_ns < 0) reference_ns = total_ns;
+      if (reference_cpu_ns < 0) reference_cpu_ns = cpu_ns;
       std::printf("%-26s %12.3f %16.1f\n", OptimizerModeName(mode),
-                  static_cast<double>(total_ns) /
-                      static_cast<double>(reference_ns),
+                  static_cast<double>(cpu_ns) /
+                      static_cast<double>(reference_cpu_ns),
                   static_cast<double>(opt_ns) / 1e6);
     }
   }

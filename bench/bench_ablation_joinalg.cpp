@@ -28,7 +28,7 @@ int main() {
   std::printf("%-20s %12s %18s\n", "configuration", "CPU (norm)",
               "join tuples (M)");
   std::printf("%s\n", std::string(54, '-').c_str());
-  int64_t reference_ns = -1;
+  int64_t reference_cpu_ns = -1;
   for (const Config& cfg : configs) {
     RunOptions options;
     options.repeats = 2;
@@ -39,15 +39,15 @@ int main() {
         cfg.filters ? OptimizerMode::kBqoShallow
                     : OptimizerMode::kNoBitvectors,
         options);
-    int64_t total_ns = 0, join_tuples = 0;
+    int64_t cpu_ns = 0, join_tuples = 0;
     for (const QueryRun& r : runs) {
-      total_ns += r.metrics.total_ns;
+      cpu_ns += r.metrics.cpu_ns;
       join_tuples += r.metrics.join_tuples;
     }
-    if (reference_ns < 0) reference_ns = total_ns;
+    if (reference_cpu_ns < 0) reference_cpu_ns = cpu_ns;
     std::printf("%-20s %12.3f %18.2f\n", cfg.label,
-                static_cast<double>(total_ns) /
-                    static_cast<double>(reference_ns),
+                static_cast<double>(cpu_ns) /
+                    static_cast<double>(reference_cpu_ns),
                 static_cast<double>(join_tuples) / 1e6);
   }
   std::printf(

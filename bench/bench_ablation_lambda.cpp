@@ -16,7 +16,7 @@ int main() {
   const double kThresholds[] = {-1.0, 0.0, 0.01, 0.05, 0.10, 0.25, 0.50,
                                 0.90};
 
-  int64_t reference_ns = -1;
+  int64_t reference_cpu_ns = -1;
   std::printf("%-10s %14s %14s %14s\n", "thresh", "CPU (norm)",
               "filters kept", "filters pruned");
   std::printf("%s\n", std::string(58, '-').c_str());
@@ -25,19 +25,19 @@ int main() {
     options.repeats = 2;
     options.optimizer.lambda_thresh = thresh;
     const auto runs = RunWorkload(w, OptimizerMode::kBqoShallow, options);
-    int64_t total_ns = 0, kept = 0, pruned = 0;
+    int64_t cpu_ns = 0, kept = 0, pruned = 0;
     for (const QueryRun& r : runs) {
-      total_ns += r.metrics.total_ns;
+      cpu_ns += r.metrics.cpu_ns;
       pruned += r.pruned_filters;
       for (const auto& fs : r.metrics.filters) {
         if (fs.created) ++kept;
       }
     }
-    if (reference_ns < 0) reference_ns = total_ns;
+    if (reference_cpu_ns < 0) reference_cpu_ns = cpu_ns;
     std::printf("%-10s %14.3f %14lld %14lld\n",
                 thresh < 0 ? "off" : StringFormat("%.2f", thresh).c_str(),
-                static_cast<double>(total_ns) /
-                    static_cast<double>(reference_ns),
+                static_cast<double>(cpu_ns) /
+                    static_cast<double>(reference_cpu_ns),
                 static_cast<long long>(kept), static_cast<long long>(pruned));
   }
   std::printf(

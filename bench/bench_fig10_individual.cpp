@@ -20,7 +20,7 @@ int main() {
     std::vector<size_t> order(c.original.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return c.original[a].metrics.total_ns > c.original[b].metrics.total_ns;
+      return c.original[a].metrics.cpu_ns > c.original[b].metrics.cpu_ns;
     });
     const size_t top = std::min<size_t>(60, order.size());
     std::printf("%-4s %-14s %12s %12s %9s\n", "rank", "query",
@@ -29,8 +29,8 @@ int main() {
     for (size_t rank = 0; rank < top; ++rank) {
       const QueryRun& o = c.original[order[rank]];
       const QueryRun& b = c.bqo[order[rank]];
-      const double oms = static_cast<double>(o.metrics.total_ns) / 1e6;
-      const double bms = static_cast<double>(b.metrics.total_ns) / 1e6;
+      const double oms = static_cast<double>(o.metrics.cpu_ns) / 1e6;
+      const double bms = static_cast<double>(b.metrics.cpu_ns) / 1e6;
       const double ratio = oms > 0 ? bms / oms : 1.0;
       if (rank < 20) {  // print the first 20 rows, summarize the rest
         std::printf("%-4zu %-14s %12.3f %12.3f %9.3f\n", rank + 1,

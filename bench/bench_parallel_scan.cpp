@@ -148,8 +148,7 @@ int main() {
 
   constexpr int kReps = 3;  // min-of-k, warm cache
   for (FilterKind kind :
-       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact,
-        FilterKind::kCuckoo}) {
+       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact}) {
     DrainResult base;
     double base_ns = 0;
     for (int threads = 1; threads <= max_threads; threads *= 2) {

@@ -28,22 +28,22 @@ int main() {
     std::fprintf(stderr, "[bench] %s: filters OFF...\n", w.name.c_str());
     const auto without = RunWorkload(w, OptimizerMode::kNoBitvectors, options);
 
-    int64_t with_ns = 0, without_ns = 0;
+    int64_t with_cpu_ns = 0, without_cpu_ns = 0;
     int uses_filters = 0, improved = 0, regressed = 0;
     for (size_t i = 0; i < with.size(); ++i) {
-      with_ns += with[i].metrics.total_ns;
-      without_ns += without[i].metrics.total_ns;
+      with_cpu_ns += with[i].metrics.cpu_ns;
+      without_cpu_ns += without[i].metrics.cpu_ns;
       if (with[i].used_bitvectors) ++uses_filters;
       const double ratio =
-          static_cast<double>(with[i].metrics.total_ns) /
-          static_cast<double>(std::max<int64_t>(1, without[i].metrics.total_ns));
+          static_cast<double>(with[i].metrics.cpu_ns) /
+          static_cast<double>(std::max<int64_t>(1, without[i].metrics.cpu_ns));
       if (ratio < 0.8) ++improved;
       if (ratio > 1.2) ++regressed;
     }
     const double n = static_cast<double>(with.size());
     std::printf("%-10s %10.2f %18.2f %12.2f %12.2f\n", w.name.c_str(),
-                static_cast<double>(with_ns) /
-                    static_cast<double>(std::max<int64_t>(1, without_ns)),
+                static_cast<double>(with_cpu_ns) /
+                    static_cast<double>(std::max<int64_t>(1, without_cpu_ns)),
                 uses_filters / n, improved / n, regressed / n);
   }
   std::printf(

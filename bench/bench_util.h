@@ -62,12 +62,6 @@ inline std::vector<Comparison> RunAllComparisons(double scale,
   return out;
 }
 
-inline int64_t TotalNs(const std::vector<QueryRun>& runs) {
-  int64_t total = 0;
-  for (const QueryRun& r : runs) total += r.metrics.total_ns;
-  return total;
-}
-
 inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());

@@ -137,14 +137,6 @@ std::unique_ptr<PhysicalOperator> CompileNode(
   if (node.created_filter >= 0 &&
       FilterActive(plan, node.created_filter, options)) {
     config.creates_filter_id = node.created_filter;
-    // Honor the optimizer's per-filter implementation pick (filter menu,
-    // cost_model.h) when the caller opted in; otherwise every filter uses
-    // the uniform configured kind, keeping pinned FilterStats unchanged.
-    const int chosen =
-        plan.filters[static_cast<size_t>(node.created_filter)].chosen_kind;
-    if (options.filter_config.use_plan_kinds && chosen >= 0) {
-      config.filter_config.kind = static_cast<FilterKind>(chosen);
-    }
   }
   for (int fid : active_residuals) {
     const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];

@@ -28,9 +28,8 @@
 //    and the per-morsel output chunks are reassembled in morsel order, which
 //    equals the single-threaded row order exactly (scan rows stream in
 //    selection order and every probe stage is order-preserving). Hash-join
-//    builds and sort-merge materializations use this, so the hash table —
-//    and every insert-order-sensitive structure built from it, like a cuckoo
-//    filter — is byte-identical at every thread count.
+//    builds and sort-merge materializations use this, so the hash table is
+//    byte-identical at every thread count.
 //
 // Stats discipline (the PR 2 invariant, engine-wide): workers accumulate
 // FilterStats/OperatorStats deltas in their private states; the drain owner
@@ -99,10 +98,7 @@ std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
 /// build per-partition partials (Bloom partials sized like `filter` so the
 /// geometries match, with insert tracking enabled) and fold them in
 /// partition order through BitvectorFilter::MergeFrom, reproducing the
-/// sequential bits and NumInserted exactly for Exact and Bloom. Cuckoo
-/// filters are filled sequentially regardless of thread count: their
-/// contents are insert-order-dependent, and a merged build would perturb
-/// downstream passed counts relative to threads=1.
+/// sequential bits and NumInserted exactly for every kind.
 ///
 /// `ctx` (optional) makes the fill cancellable: inserts poll it every few
 /// thousand keys and a fired kFilterFill fault cancels it (first-error-

@@ -4,9 +4,9 @@
 // indices in place (writes trail reads, and the j+kDist lookahead is never
 // clobbered because at most j entries have been written back).
 //
-// Used by the Bloom and Exact filters, whose probes touch one location per
-// key; the Cuckoo filter needs a two-location resolve and has its own
-// chunked scheme (see cuckoo_filter.cc).
+// Used by every filter kind, whose probes each touch one location per key
+// (a Bloom cache line, an Exact hash-set slot, or — on the scalar SIMD
+// tier — a blocked-Bloom sector).
 #pragma once
 
 #include <cstdint>

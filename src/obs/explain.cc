@@ -64,11 +64,10 @@ void WalkNode(const Plan& plan, const PlanNode& node, int depth,
   }
 }
 
-FilterKind EffectiveKind(const PlanFilter& f, const FilterConfig& config) {
-  if (config.use_plan_kinds && f.chosen_kind >= 0) {
-    return static_cast<FilterKind>(f.chosen_kind);
-  }
-  return config.kind;
+/// True iff plan node `child` is the build or probe child of join `parent`.
+bool IsDirectChild(const Plan& plan, int parent, int child) {
+  const PlanNode& join = *plan.nodes[static_cast<size_t>(parent)];
+  return join.build->id == child || join.probe->id == child;
 }
 
 }  // namespace
@@ -106,12 +105,11 @@ ExplainReport BuildExplainReport(const Plan& plan,
       report.filters.push_back(std::move(row));
       continue;
     }
-    const FilterKind kind = EffectiveKind(f, filter_config);
     row.created = true;
-    row.kind = FilterKindName(kind);
+    row.kind = FilterKindName(filter_config.kind);
     row.observed_lambda = fs->ObservedLambda();
-    row.modeled_fpr =
-        EstimatedFilterFpr(kind, filter_config.bloom_bits_per_key);
+    row.modeled_fpr = EstimatedFilterFpr(filter_config.kind,
+                                         filter_config.bloom_bits_per_key);
     row.inserted = fs->inserted;
     row.probed = fs->probed;
     row.passed = fs->passed;
@@ -127,6 +125,8 @@ ExplainReport BuildExplainReport(const Plan& plan,
         row.measured_fpr = static_cast<double>(leaked) /
                            static_cast<double>(leaked + rejected);
         row.has_measured_fpr = true;
+        row.measured_fpr_lower_bound =
+            !IsDirectChild(plan, f.source_join, f.applied_at);
       }
     }
     report.filters.push_back(std::move(row));
@@ -176,8 +176,11 @@ std::string RenderExplainAnalyze(const ExplainReport& report) {
         "probed %lld passed %lld (%lld bytes)\n",
         f.filter_id, f.kind.c_str(), f.source_join, f.applied_at,
         f.est_lambda, f.observed_lambda, f.modeled_fpr,
-        f.has_measured_fpr ? StringFormat("%.5f", f.measured_fpr).c_str()
-                           : "n/a",
+        f.has_measured_fpr
+            ? StringFormat("%.5f%s", f.measured_fpr,
+                           f.measured_fpr_lower_bound ? " (lower bound)" : "")
+                  .c_str()
+            : "n/a",
         static_cast<long long>(f.inserted),
         static_cast<long long>(f.probed), static_cast<long long>(f.passed),
         static_cast<long long>(f.size_bytes));

@@ -3,7 +3,7 @@
 //
 // BuildExplainReport joins three things the engine already produces:
 //  * the annotated Plan (join tree, filter placement, optimizer's
-//    estimated lambda and chosen filter kind),
+//    estimated lambda),
 //  * a CoutBreakdown from the estimated cost model (per-node estimated
 //    output cardinalities — the numbers the optimizer planned with),
 //  * the executed QueryMetrics (merged OperatorStats/FilterStats — exact,
@@ -26,9 +26,11 @@
 //   measured_fpr = leaked / (leaked + rejected)
 //
 // — the false-positive fraction of the true negatives the filter saw.
-// Exact when the filter's application site feeds the source join directly
-// (the common Algorithm 1 placement); a lower bound when intermediate
-// joins eliminated some leaked rows first. Exact filters measure 0 by
+// Exact when the filter's application site feeds the source join directly;
+// a lower bound when intermediate joins eliminated some leaked rows first
+// (in a right-deep star, every filter but the bottom join's). The
+// plan shape decides which (FilterExplainRow::measured_fpr_lower_bound),
+// and the rendering marks the bound. Exact filters measure 0 by
 // construction.
 #pragma once
 
@@ -75,6 +77,10 @@ struct FilterExplainRow {
   double modeled_fpr = 0;      ///< EstimatedFilterFpr at the space budget
   double measured_fpr = 0;     ///< see header comment; valid iff
   bool has_measured_fpr = false;  ///< the source join saw probe traffic
+  /// True iff `applied_at` is not a direct child of `source_join`: joins in
+  /// between may have dropped leaked rows, so measured_fpr only bounds the
+  /// true rate from below. Set together with has_measured_fpr.
+  bool measured_fpr_lower_bound = false;
   int64_t inserted = 0;
   int64_t probed = 0;
   int64_t passed = 0;

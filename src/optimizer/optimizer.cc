@@ -103,10 +103,6 @@ OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
       result.pruned_filters = PruneIneffectiveFilters(
           &result.plan, &aware_model, options.lambda_thresh);
     }
-    // With the menu of survivors settled, pick each filter's
-    // implementation (annotation only; see FilterMenuOptions).
-    SelectFilterImplementations(&result.plan, &aware_model,
-                                options.filter_menu);
   }
   result.estimated_cost = aware_model.Cout(result.plan);
   result.optimize_ns =

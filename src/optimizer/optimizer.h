@@ -5,7 +5,6 @@
 
 #include <string>
 
-#include "src/optimizer/cost_model.h"
 #include "src/plan/cout.h"
 #include "src/stats/table_stats.h"
 
@@ -43,11 +42,6 @@ struct OptimizerOptions {
   int max_dp_relations = 14;
   /// Plan-count cap for kExhaustive.
   size_t exhaustive_limit = 50000;
-  /// Filter-implementation menu (cost_model.h): after pruning, every
-  /// surviving filter is annotated with the kind — classical or blocked
-  /// Bloom — whose probe-cost/FPR trade minimizes its cost
-  /// (PlanFilter::chosen_kind). Part of the plan's cache identity.
-  FilterMenuOptions filter_menu;
 
   // ---- Parameterized-plan validity band (src/optimizer/parameterized.h;
   // not part of the plan's cache identity — they bound reuse, they don't
@@ -63,7 +57,7 @@ struct OptimizerOptions {
   /// Probe re-optimizations per direction per predicated relation when
   /// deriving the band: selectivity is scaled to geometric steps of
   /// reopt_sel_band and the optimizer re-run; the band edge is the last
-  /// step at which the chosen join order and unpruned filter menu were
+  /// step at which the chosen join order and unpruned filter set were
   /// unchanged. 0 = skip probing and trust reopt_sel_band as-is.
   int band_probe_steps = 2;
 };

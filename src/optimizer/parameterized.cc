@@ -12,7 +12,7 @@ namespace bqo {
 namespace {
 
 /// Structural identity of an optimization outcome: the join-order
-/// signature plus the unpruned filter menu (source join and application
+/// signature plus the unpruned filter set (source join and application
 /// site, comparable across plans with equal signatures). Two probe runs
 /// with equal keys made the same choice, so the probed selectivity is
 /// inside the validity band.

@@ -14,7 +14,7 @@
 //  * For each relation whose predicate has constant slots it derives a
 //    **validity band**: the selectivity range within which re-running the
 //    optimizer still picks the same join order and the same unpruned
-//    filter menu. The band is found by probe re-optimizations at geometric
+//    filter set. The band is found by probe re-optimizations at geometric
 //    steps of OptimizerOptions::reopt_sel_band (scaling that relation's
 //    filtered_rows and re-optimizing); the edge is the last stable step.
 //
@@ -31,7 +31,7 @@
 namespace bqo {
 
 /// \brief Selectivity range [lo, hi] (filtered_rows / base_rows) within
-/// which a cached plan's join order and filter menu remain the optimizer's
+/// which a cached plan's join order and filter set remain the optimizer's
 /// choice for one relation. Slotless relations get the degenerate full
 /// band [0, 1] — their selectivity cannot move without a shape change.
 struct SelectivityBand {

@@ -2,7 +2,7 @@
 //
 // The load-bearing invariant for the whole system is *zero false negatives*:
 // a filter that drops a qualifying tuple changes query results. False
-// positives only cost performance; Bloom/cuckoo rates are bounded below.
+// positives only cost performance; Bloom rates are bounded below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "src/common/rng.h"
 #include "src/filter/bitvector_filter.h"
 #include "src/filter/bloom_filter.h"
-#include "src/filter/cuckoo_filter.h"
 #include "src/filter/exact_filter.h"
 
 namespace bqo {
@@ -105,9 +104,9 @@ INSTANTIATE_TEST_SUITE_P(
                       FilterCase{FilterKind::kBloom, 10},
                       FilterCase{FilterKind::kBloom, 1000},
                       FilterCase{FilterKind::kBloom, 100000},
-                      FilterCase{FilterKind::kCuckoo, 10},
-                      FilterCase{FilterKind::kCuckoo, 1000},
-                      FilterCase{FilterKind::kCuckoo, 100000}),
+                      FilterCase{FilterKind::kBlockedBloom, 10},
+                      FilterCase{FilterKind::kBlockedBloom, 1000},
+                      FilterCase{FilterKind::kBlockedBloom, 100000}),
     [](const ::testing::TestParamInfo<FilterCase>& info) {
       return std::string(FilterKindName(info.param.kind)) + "_" +
              std::to_string(info.param.n);
@@ -157,26 +156,6 @@ TEST(BloomFilter, MoreBitsFewerFalsePositives) {
   EXPECT_GT(rates[0], rates[1] * 3);
 }
 
-TEST(CuckooFilter, LowFpRateAt12Bits) {
-  const int64_t n = 50000;
-  CuckooFilter filter(n, 12);
-  Rng rng(13);
-  std::unordered_set<uint64_t> inserted;
-  for (int64_t i = 0; i < n; ++i) {
-    const uint64_t h = rng.Next();
-    filter.Insert(h);
-    inserted.insert(h);
-  }
-  EXPECT_FALSE(filter.overflowed());
-  int fp = 0;
-  const int probes = 200000;
-  for (int i = 0; i < probes; ++i) {
-    const uint64_t h = rng.Next();
-    if (inserted.count(h) == 0 && filter.MayContain(h)) ++fp;
-  }
-  EXPECT_LT(static_cast<double>(fp) / probes, 0.01);
-}
-
 TEST(BloomFilter, HashCountClampedToAtLeastOne) {
   // bits_per_key = 1.0 rounds 0.693 up to k = 1; the clamp guarantees k >= 1
   // so the filter always sets at least one bit and can reject something.
@@ -194,62 +173,10 @@ TEST(BloomFilter, HashCountClampedToAtLeastOne) {
   EXPECT_EQ(high.num_probes(), 4);
 }
 
-TEST(CuckooFilter, SizedForTargetLoadFactor) {
-  // The constructor promises buckets = ceil(keys / (4 * 0.875)) rounded up
-  // to a power of two: capacity at 87.5% load always covers the expected
-  // keys, and the pre-rounding bucket count is minimal for that target.
-  for (const int64_t n : {16LL, 100LL, 5000LL, 100000LL, 114688LL}) {
-    CuckooFilter filter(n, 12);
-    const int64_t slots = filter.SizeBytes() / static_cast<int64_t>(sizeof(uint16_t));
-    EXPECT_GE(static_cast<double>(slots) * 0.875, static_cast<double>(n))
-        << "n=" << n;
-    // Pow2 minimality: half the buckets would exceed the 87.5% target.
-    const int64_t half_slots = slots / 2;
-    EXPECT_LT(static_cast<double>(half_slots) * 0.875,
-              static_cast<double>(n < 16 ? 16 : n) + 4.0 * 0.875)
-        << "n=" << n;
-  }
-  // At the worst case the sizing permits (exactly 87.5% load after pow2
-  // rounding: 114688 = 3.5 * 32768 keys), inserts must still all land.
-  CuckooFilter tight(114688, 12);
-  Rng rng(29);
-  for (int64_t i = 0; i < 114688; ++i) tight.Insert(rng.Next());
-  EXPECT_FALSE(tight.overflowed());
-}
-
-TEST(CuckooFilter, NumInsertedStopsAtOverflow) {
-  CuckooFilter filter(16, 8);
-  Rng rng(31);
-  int64_t last = -1;
-  for (int i = 0; i < 5000; ++i) {
-    filter.Insert(rng.Next());
-    if (filter.overflowed() && last < 0) last = filter.NumInserted();
-  }
-  ASSERT_TRUE(filter.overflowed());
-  // Inserts after overflow add nothing (everything already passes), so the
-  // count must have frozen the moment the filter overflowed.
-  EXPECT_EQ(filter.NumInserted(), last);
-  // And it can't exceed what the slots could hold (+1 for the key whose
-  // failed displacement triggered the overflow).
-  EXPECT_LE(filter.NumInserted(),
-            filter.SizeBytes() / static_cast<int64_t>(sizeof(uint16_t)) + 1);
-}
-
-TEST(CuckooFilter, OverflowDegradesSafely) {
-  // Grossly undersized-by-construction: force overflow via tiny capacity
-  // and many inserts; every inserted key must still pass.
-  CuckooFilter filter(16, 8);
-  Rng rng(17);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 5000; ++i) keys.push_back(rng.Next());
-  for (uint64_t k : keys) filter.Insert(k);
-  for (uint64_t k : keys) EXPECT_TRUE(filter.MayContain(k));
-}
-
 TEST(FilterFactory, CreatesRequestedKinds) {
   FilterConfig config;
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     config.kind = kind;
     auto f = CreateFilter(config, 100);
     ASSERT_NE(f, nullptr);
@@ -324,58 +251,6 @@ TEST(BloomFilterMerge, TrackedMergeMatchesSequentialBuild) {
     const uint64_t h = rng.Next();
     EXPECT_EQ(merged.MayContain(h), sequential.MayContain(h));
   }
-}
-
-TEST(CuckooFilterMerge, ReplayUnionNoFalseNegatives) {
-  Rng rng(5150);
-  std::vector<uint64_t> a_keys, b_keys;
-  for (int i = 0; i < 300; ++i) a_keys.push_back(rng.Next());
-  for (int i = 0; i < 300; ++i) b_keys.push_back(rng.Next());
-  // Cross-partition duplicates: same key in both partials.
-  b_keys.insert(b_keys.end(), a_keys.begin(), a_keys.begin() + 50);
-
-  // Same geometry, sized for the union (like FillFilterParallel partials).
-  CuckooFilter a(1000, 12), b(1000, 12);
-  for (uint64_t k : a_keys) a.Insert(k);
-  for (uint64_t k : b_keys) b.Insert(k);
-  ASSERT_FALSE(a.overflowed());
-  ASSERT_FALSE(b.overflowed());
-  const int64_t na = a.NumInserted(), nb = b.NumInserted();
-
-  a.MergeFrom(b);
-  ASSERT_FALSE(a.overflowed());
-  // Zero false negatives across the union — the system invariant.
-  for (uint64_t k : a_keys) EXPECT_TRUE(a.MayContain(k));
-  for (uint64_t k : b_keys) EXPECT_TRUE(a.MayContain(k));
-  // Replay dedups (fingerprint, bucket) pairs: the 50 duplicated keys must
-  // not double count, and the count can only shrink further via fingerprint
-  // collisions, never grow.
-  EXPECT_LE(a.NumInserted(), na + nb - 50);
-  EXPECT_GE(a.NumInserted(), na);
-}
-
-TEST(CuckooFilterMerge, OverflowedPartitionFreezesMergedFilter) {
-  // One healthy partial, one driven into overflow.
-  CuckooFilter healthy(1000, 12);
-  Rng rng(17);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 200; ++i) keys.push_back(rng.Next());
-  for (uint64_t k : keys) healthy.Insert(k);
-
-  CuckooFilter overflowed(16, 8);
-  for (int i = 0; i < 5000; ++i) overflowed.Insert(rng.Next());
-  ASSERT_TRUE(overflowed.overflowed());
-
-  const int64_t expected =
-      healthy.NumInserted() + overflowed.NumInserted();
-  // Freeze propagation is geometry-independent (no slots are replayed), so
-  // the differing capacities must not trip the merge.
-  healthy.MergeFrom(overflowed);
-  EXPECT_TRUE(healthy.overflowed());
-  // Frozen filter admits everything (degenerates safely).
-  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(healthy.MayContain(rng.Next()));
-  // Logical-key count carries the overflowed partition's adds.
-  EXPECT_EQ(healthy.NumInserted(), expected);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "src/obs/explain.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
+#include "src/optimizer/cost_model.h"
 #include "src/server/query_service.h"
 #include "src/server/worker_pool.h"
 #include "test_util.h"
@@ -336,61 +337,85 @@ TEST(Observability, ExplainAnalyzeReportsEstimatesActualsAndFilterFpr) {
   GlobalPoolGuard guard;
   WorkerPool::ResetGlobal(2);
   auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177, /*zipf=*/0.5);
-  QueryService service(&db->catalog, StarServiceOptions());
 
-  const QueryResult r = service.Execute(db->spec);
-  ASSERT_TRUE(r.status.ok());
-  ASSERT_NE(r.explain, nullptr);
-  const ExplainReport& report = *r.explain;
+  // The filter row reports the executed FilterConfig kind and the model
+  // FPR of that kind at the configured space budget.
+  for (FilterKind kind : {FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+    SCOPED_TRACE(FilterKindName(kind));
+    QueryServiceOptions options = StarServiceOptions();
+    options.execution.filter_config.kind = kind;
+    QueryService service(&db->catalog, options);
 
-  EXPECT_EQ(report.query_name, db->spec.name);
-  EXPECT_EQ(report.result_rows, r.metrics.result_rows);
-  EXPECT_GT(report.estimated_cost, 0);
-  ASSERT_GE(report.operators.size(), 7u) << "3 joins + 4 scans";
-  EXPECT_EQ(report.operators[0].depth, 0);
-  EXPECT_FALSE(report.operators[0].is_leaf) << "preorder: root join first";
-  int leaves = 0;
-  for (const OperatorExplainRow& op : report.operators) {
-    EXPECT_GE(op.node_id, 0);
-    EXPECT_FALSE(op.label.empty());
-    EXPECT_GT(op.est_rows, 0) << op.label;
-    EXPECT_GT(op.actual_rows, 0) << op.label;
-    EXPECT_GE(op.actual_prefilter, op.actual_rows) << op.label;
-    leaves += op.is_leaf;
-  }
-  EXPECT_EQ(leaves, 4);
+    const QueryResult r = service.Execute(db->spec);
+    ASSERT_TRUE(r.status.ok());
+    ASSERT_NE(r.explain, nullptr);
+    const ExplainReport& report = *r.explain;
 
-  ASSERT_FALSE(report.filters.empty());
-  bool any_created = false, any_measured = false;
-  for (const FilterExplainRow& f : report.filters) {
-    if (!f.created) continue;
-    any_created = true;
-    EXPECT_EQ(f.kind, "bloom") << "default FilterConfig kind";
-    EXPECT_GT(f.est_lambda, 0.0);
-    EXPECT_LE(f.est_lambda, 1.0);
-    EXPECT_GE(f.observed_lambda, 0.0);
-    EXPECT_LE(f.observed_lambda, 1.0);
-    // Classical Bloom at 10 bits/key models ~1% FPR.
-    EXPECT_GT(f.modeled_fpr, 0.0);
-    EXPECT_LT(f.modeled_fpr, 0.05);
-    EXPECT_GT(f.inserted, 0);
-    EXPECT_GT(f.probed, 0);
-    if (f.has_measured_fpr) {
-      any_measured = true;
-      EXPECT_GE(f.measured_fpr, 0.0);
-      EXPECT_LE(f.measured_fpr, 1.0);
+    EXPECT_EQ(report.query_name, db->spec.name);
+    EXPECT_EQ(report.result_rows, r.metrics.result_rows);
+    EXPECT_GT(report.estimated_cost, 0);
+    ASSERT_GE(report.operators.size(), 7u) << "3 joins + 4 scans";
+    EXPECT_EQ(report.operators[0].depth, 0);
+    EXPECT_FALSE(report.operators[0].is_leaf) << "preorder: root join first";
+    int leaves = 0;
+    std::map<int, int> depth_of;
+    for (const OperatorExplainRow& op : report.operators) {
+      EXPECT_GE(op.node_id, 0);
+      EXPECT_FALSE(op.label.empty());
+      EXPECT_GT(op.est_rows, 0) << op.label;
+      EXPECT_GT(op.actual_rows, 0) << op.label;
+      EXPECT_GE(op.actual_prefilter, op.actual_rows) << op.label;
+      leaves += op.is_leaf;
+      depth_of[op.node_id] = op.depth;
     }
-  }
-  EXPECT_TRUE(any_created);
-  EXPECT_TRUE(any_measured)
-      << "selective dimensions must yield a measured FPR";
+    EXPECT_EQ(leaves, 4);
 
-  const std::string text = RenderExplainAnalyze(report);
-  EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos);
-  EXPECT_NE(text.find("est rows"), std::string::npos);
-  EXPECT_NE(text.find("modeled FPR"), std::string::npos);
-  EXPECT_NE(text.find("trace:"), std::string::npos)
-      << "span tree rides along when tracing is on";
+    ASSERT_FALSE(report.filters.empty());
+    const double bits = options.execution.filter_config.bloom_bits_per_key;
+    bool any_created = false, any_exact = false, any_lower_bound = false;
+    for (const FilterExplainRow& f : report.filters) {
+      if (!f.created) continue;
+      any_created = true;
+      EXPECT_EQ(f.kind, FilterKindName(kind));
+      EXPECT_EQ(f.modeled_fpr, EstimatedFilterFpr(kind, bits));
+      EXPECT_GT(f.est_lambda, 0.0);
+      EXPECT_LE(f.est_lambda, 1.0);
+      EXPECT_GE(f.observed_lambda, 0.0);
+      EXPECT_LE(f.observed_lambda, 1.0);
+      // Both Bloom kinds at 10 bits/key model a few percent FPR at most.
+      EXPECT_GT(f.modeled_fpr, 0.0);
+      EXPECT_LT(f.modeled_fpr, 0.05);
+      EXPECT_GT(f.inserted, 0);
+      EXPECT_GT(f.probed, 0);
+      if (f.has_measured_fpr) {
+        EXPECT_GE(f.measured_fpr, 0.0);
+        EXPECT_LE(f.measured_fpr, 1.0);
+        // Filters apply inside the source join's probe subtree, so the
+        // application site is a direct child iff it sits one level below.
+        const bool direct_child =
+            depth_of.at(f.applied_at) == depth_of.at(f.source_join) + 1;
+        EXPECT_EQ(f.measured_fpr_lower_bound, !direct_child)
+            << "filter f" << f.filter_id;
+        any_exact |= !f.measured_fpr_lower_bound;
+        any_lower_bound |= f.measured_fpr_lower_bound;
+      } else {
+        EXPECT_FALSE(f.measured_fpr_lower_bound);
+      }
+    }
+    EXPECT_TRUE(any_created);
+    EXPECT_TRUE(any_exact)
+        << "the bottom join's filter feeds it directly: exact FPR";
+    EXPECT_TRUE(any_lower_bound)
+        << "an upper join's filter pushed to the fact scan: lower bound";
+
+    const std::string text = RenderExplainAnalyze(report);
+    EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos);
+    EXPECT_NE(text.find("est rows"), std::string::npos);
+    EXPECT_NE(text.find("modeled FPR"), std::string::npos);
+    EXPECT_NE(text.find("(lower bound)"), std::string::npos);
+    EXPECT_NE(text.find("trace:"), std::string::npos)
+        << "span tree rides along when tracing is on";
+  }
 }
 
 TEST(Observability, FaultStruckQueryYieldsTruncatedTraceAndOneFailure) {

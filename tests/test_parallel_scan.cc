@@ -1,5 +1,5 @@
-// Morsel-parallel scan correctness: for every filter kind (including an
-// overflowed cuckoo), SUM(measure) GROUP BY key over a scan drained by N
+// Morsel-parallel scan correctness: for every filter kind (including a
+// saturated Bloom filter), SUM(measure) GROUP BY key over a scan drained by N
 // exchange workers must produce the same checksum, group count and total,
 // and the same merged FilterStats/OperatorStats, as the single-threaded
 // scan — parallelism is pure performance (and the per-worker accumulate +
@@ -17,7 +17,6 @@
 #include "src/exec/executor.h"
 #include "src/exec/scan.h"
 #include "src/filter/bloom_filter.h"
-#include "src/filter/cuckoo_filter.h"
 #include "src/filter/exact_filter.h"
 #include "src/plan/pushdown.h"
 #include "test_util.h"
@@ -105,12 +104,13 @@ class ParallelScanTest : public ::testing::Test {
     return filter;
   }
 
-  /// A cuckoo filter driven into overflowed_ (it then admits everything).
-  std::unique_ptr<BitvectorFilter> MakeOverflowedCuckoo() {
-    auto filter = std::make_unique<CuckooFilter>(16, 8);
+  /// A Bloom filter sized for 16 keys and fed thousands, so every bit of
+  /// its single block is set (it then admits everything).
+  std::unique_ptr<BitvectorFilter> MakeSaturatedBloom() {
+    auto filter = std::make_unique<BloomFilter>(16, 10.0);
     Rng rng(17);
     for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
-    BQO_CHECK(filter->overflowed());
+    for (int i = 0; i < 1000; ++i) BQO_CHECK(filter->MayContain(rng.Next()));
     return filter;
   }
 
@@ -120,7 +120,7 @@ class ParallelScanTest : public ::testing::Test {
 
 TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     const ManualScanResult base =
         RunManualScan(fact_, MakeHalfDomainFilter(kind), "d0_fk", 1);
     ASSERT_GT(base.rows_out, 0) << FilterKindName(kind);
@@ -143,14 +143,14 @@ TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
   }
 }
 
-TEST_F(ParallelScanTest, OverflowedCuckooPassesEverythingUnderThreads) {
+TEST_F(ParallelScanTest, SaturatedBloomPassesEverythingUnderThreads) {
   const ManualScanResult base =
-      RunManualScan(fact_, MakeOverflowedCuckoo(), "d0_fk", 1);
-  // Overflowed filter admits everything: output == full selection.
+      RunManualScan(fact_, MakeSaturatedBloom(), "d0_fk", 1);
+  // Saturated filter admits everything: output == full selection.
   EXPECT_EQ(base.rows_out, fact_->num_rows());
   EXPECT_EQ(base.filter_stats.passed, base.filter_stats.probed);
   const ManualScanResult par =
-      RunManualScan(fact_, MakeOverflowedCuckoo(), "d0_fk", 4);
+      RunManualScan(fact_, MakeSaturatedBloom(), "d0_fk", 4);
   EXPECT_EQ(par.checksum, base.checksum);
   EXPECT_EQ(par.num_groups, base.num_groups);
   EXPECT_EQ(par.total, base.total);
@@ -170,7 +170,7 @@ TEST(ParallelExecTest, PlanResultsAndFilterStatsMatchSingleThread) {
   PushDownBitvectors(&plan);
 
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions single;
     single.filter_config.kind = kind;
     single.agg.kind = AggKind::kSum;
