@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/filter/bitvector_filter.h"
+#include "src/filter/blocked_bloom_filter.h"
 #include "src/filter/bloom_filter.h"
 #include "src/filter/exact_filter.h"
 
@@ -172,6 +176,137 @@ TEST(BloomFilter, HashCountClampedToAtLeastOne) {
   BloomFilter high(10000, 10.0);
   EXPECT_EQ(high.num_probes(), 4);
 }
+
+/// Both Bloom kinds promise bits_per_key * max(n, 16) bits, rounded up to a
+/// power-of-two count of 512-bit blocks: the budget is always covered, and
+/// half the blocks would fall short of it (the rounding is minimal).
+void ExpectSizedForBitsPerKey(FilterKind kind) {
+  FilterConfig config;
+  config.kind = kind;
+  for (const double bits : {4.0, 10.0, 12.0}) {
+    config.bloom_bits_per_key = bits;
+    for (const int64_t n : {1LL, 16LL, 100LL, 5000LL, 43690LL, 100000LL}) {
+      auto filter = CreateFilter(config, n);
+      const int64_t filter_bits = filter->SizeBytes() * 8;
+      const int64_t blocks = filter_bits / 512;
+      const double budget = static_cast<double>(n < 16 ? 16 : n) * bits;
+      EXPECT_EQ(filter_bits % 512, 0) << "n=" << n << " bits=" << bits;
+      EXPECT_EQ(blocks & (blocks - 1), 0) << "n=" << n << " bits=" << bits;
+      EXPECT_GE(static_cast<double>(filter_bits), budget)
+          << "n=" << n << " bits=" << bits;
+      if (blocks > 1) {
+        EXPECT_LT(static_cast<double>(filter_bits / 2), budget)
+            << "n=" << n << " bits=" << bits;
+      }
+    }
+  }
+  // 43690 keys at 12 bits/key is 1023.98 blocks: exactly 1024, no slack.
+  config.bloom_bits_per_key = 12.0;
+  EXPECT_EQ(CreateFilter(config, 43690)->SizeBytes(), 1024 * 64);
+}
+
+TEST(BloomFilter, SizedForBitsPerKey) {
+  ExpectSizedForBitsPerKey(FilterKind::kBloom);
+}
+
+TEST(BlockedBloomFilter, SizedForBitsPerKey) {
+  ExpectSizedForBitsPerKey(FilterKind::kBlockedBloom);
+}
+
+TEST(BlockedBloomFilter, LowFpRateAt12Bits) {
+  // 43690 keys fill exactly 1024 blocks at 12 bits/key (no power-of-two
+  // slack), so this is the blocked kind's FPR at its nominal budget.
+  const int64_t n = 43690;
+  BlockedBloomFilter filter(n, 12.0);
+  ASSERT_EQ(filter.num_blocks(), 1024);
+  Rng rng(13);
+  std::unordered_set<uint64_t> inserted;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t h = rng.Next();
+    filter.Insert(h);
+    inserted.insert(h);
+  }
+  int fp = 0;
+  const int probes = 200000;
+  for (int i = 0; i < probes; ++i) {
+    const uint64_t h = rng.Next();
+    if (inserted.count(h) == 0 && filter.MayContain(h)) ++fp;
+  }
+  const double observed = static_cast<double>(fp) / probes;
+  EXPECT_GT(observed, 0.0);
+  EXPECT_LT(observed, 0.01);
+  EXPECT_LT(observed, 2.0 * filter.TheoreticalFpRate());
+}
+
+// ---- Saturation: an undersized Bloom filter degrades to admit-everything.
+
+/// Filters sized for 16 keys at 8 bits/key (one 512-bit block) and fed
+/// 5000 distinct keys: every bit ends up set.
+class SaturatedBloomTest : public ::testing::TestWithParam<FilterKind> {
+ protected:
+  std::unique_ptr<BitvectorFilter> MakeTiny() const {
+    FilterConfig config;
+    config.kind = GetParam();
+    config.bloom_bits_per_key = 8.0;
+    return CreateFilter(config, 16);
+  }
+};
+
+TEST_P(SaturatedBloomTest, InsertedKeysStillPass) {
+  auto filter = MakeTiny();
+  Rng rng(17);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 5000; ++i) keys.push_back(rng.Next());
+  for (uint64_t k : keys) filter->Insert(k);
+  for (uint64_t k : keys) EXPECT_TRUE(filter->MayContain(k));
+  // Saturated: it can no longer reject anything.
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(filter->MayContain(rng.Next()));
+}
+
+TEST_P(SaturatedBloomTest, NumInsertedStopsAtSaturation) {
+  auto filter = MakeTiny();
+  Rng rng(31);
+  for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
+  const int64_t saturated = filter->NumInserted();
+  EXPECT_GT(saturated, 0);
+  // Every counted insert set at least one new bit, so the count can't
+  // exceed the bit count ...
+  EXPECT_LE(saturated, filter->SizeBytes() * 8);
+  // ... and once every bit is set, further inserts add nothing.
+  for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
+  EXPECT_EQ(filter->NumInserted(), saturated);
+}
+
+TEST_P(SaturatedBloomTest, MergeWithSaturatedPartialAdmitsEverything) {
+  // One healthy partial and one saturated partial of the same geometry (the
+  // parallel build sizes every partial alike).
+  auto healthy = MakeTiny();
+  Rng rng(5150);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 16; ++i) keys.push_back(rng.Next());
+  for (uint64_t k : keys) healthy->Insert(k);
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (!healthy->MayContain(rng.Next())) ++rejected;
+  }
+  ASSERT_GT(rejected, 0) << "healthy partial should still filter";
+
+  auto saturated = MakeTiny();
+  for (int i = 0; i < 5000; ++i) saturated->Insert(rng.Next());
+  // Untracked partials: the merged count is the operands' sum.
+  const int64_t expected = healthy->NumInserted() + saturated->NumInserted();
+  healthy->MergeFrom(*saturated);
+  for (uint64_t k : keys) EXPECT_TRUE(healthy->MayContain(k));
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(healthy->MayContain(rng.Next()));
+  EXPECT_EQ(healthy->NumInserted(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothBloomKinds, SaturatedBloomTest,
+    ::testing::Values(FilterKind::kBloom, FilterKind::kBlockedBloom),
+    [](const ::testing::TestParamInfo<FilterKind>& info) {
+      return std::string(FilterKindName(info.param));
+    });
 
 TEST(FilterFactory, CreatesRequestedKinds) {
   FilterConfig config;
