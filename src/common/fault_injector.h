@@ -9,7 +9,7 @@
 //
 //   kWorkerTask       — entry of a pool worker task (canonical build
 //                       drains); the generic "a worker died" case.
-//   kExchangePush     — an exchange worker about to fold a produced batch
+//   kExchangePush     — an exchange worker about to fold its next batch
 //                       into its partial aggregate; fails with sibling
 //                       workers mid-drain.
 //   kFilterFill       — inside FillFilterParallel, mid bitvector build;

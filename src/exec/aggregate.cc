@@ -5,6 +5,7 @@
 
 #include "src/common/hash.h"
 #include "src/exec/exchange.h"
+#include "src/exec/hash_join.h"
 
 namespace bqo {
 
@@ -12,9 +13,12 @@ void PartialAggState::MergeFrom(PartialAggState&& other) {
   if (groups.empty()) {
     groups = std::move(other.groups);
   } else {
-    for (const auto& [g, v] : other.groups) groups[g] += v;
+    for (const auto& [g, v] : other.groups) {
+      int64_t& dst = groups[g];
+      dst = AggAdd(dst, v);
+    }
   }
-  total += other.total;
+  total = AggAdd(total, other.total);
   rows_folded += other.rows_folded;
 }
 
@@ -39,8 +43,11 @@ void AggFold::Fold(const Batch& batch, PartialAggState* state) const {
   const int64_t* keys = group_pos >= 0 ? batch.col(group_pos) : nullptr;
   for (int r = 0; r < batch.num_rows; ++r) {
     const int64_t v = kind == AggKind::kSum ? sums[r] : 1;
-    if (keys != nullptr) state->groups[keys[r]] += v;
-    state->total += v;
+    if (keys != nullptr) {
+      int64_t& dst = state->groups[keys[r]];
+      dst = AggAdd(dst, v);
+    }
+    state->total = AggAdd(state->total, v);
   }
   state->rows_folded += batch.num_rows;
 }
@@ -50,7 +57,11 @@ AggregateOperator::AggregateOperator(
     : child_(std::move(child)), spec_(spec) {
   stats_.type = OperatorType::kAggregate;
   stats_.label = "aggregate";
-  fold_ = AggFold::Resolve(spec_, child_->output_schema());
+  if (auto* join = dynamic_cast<HashJoinOperator*>(child_.get())) {
+    join->FoldInto(spec_);
+  } else {
+    fold_ = AggFold::Resolve(spec_, child_->output_schema());
+  }
   // Output schema: (group key,) aggregate value — synthetic bound columns.
   std::vector<BoundColumn> out_cols;
   if (spec_.has_group_by) out_cols.push_back(spec_.group_column);
@@ -64,9 +75,13 @@ void AggregateOperator::Open() {
   checksum_ = 0;
   emitted_ = false;
 
-  if (auto* exchange = dynamic_cast<ExchangeOperator*>(child_.get())) {
-    // Pipeline-parallel sink: the exchange workers already folded their
-    // probe-chain output thread-locally; merge the partials. MergeFrom is
+  if (auto* join = dynamic_cast<HashJoinOperator*>(child_.get())) {
+    // Single-threaded groupjoin: the root join folds its probe input
+    // straight into the sink's state.
+    join->FoldAll(&state_);
+  } else if (auto* exchange = dynamic_cast<ExchangeOperator*>(child_.get())) {
+    // Pipeline-parallel sink: the exchange workers already folded the
+    // pipeline thread-locally; merge the partials. MergeFrom is
     // exact for any partition and merge order (aggregate.h), so the merged
     // state equals the single-threaded fold bit-for-bit.
     for (PartialAggState& partial : exchange->DrainPartials()) {

@@ -16,13 +16,26 @@
 //    commutative + associative folds: any partition of the input rows
 //    into partials, merged in any order, yields the same group map and
 //    total as the single-threaded left-to-right fold.
-//  * AggregateOperator — the sink. Single-threaded (threads == 1, or a
-//    breaker such as a sort-merge join at the plan root) it folds its
-//    child's batches into one PartialAggState itself. Pipeline-parallel,
-//    the executor compiles the fold *into* the ExchangeOperator below it
-//    (exchange.h): each exchange worker folds its probe-chain output
-//    thread-locally, and the sink merges the per-worker partials — no
-//    serial consume loop and no raw batches above the top probe chain.
+//  * AggregateOperator — the sink. It never reads a hash join's output
+//    batches: the plan-root hash join is a *groupjoin* (hash_join.h) that
+//    folds each probe row's pre-aggregated build matches straight into a
+//    PartialAggState. Single-threaded (threads == 1) the sink runs that
+//    fold itself (HashJoinOperator::FoldAll). Pipeline-parallel, the
+//    executor compiles the fold *into* the ExchangeOperator below it
+//    (exchange.h): each exchange worker folds thread-locally through the
+//    same groupjoin routine, and the sink merges the per-worker partials.
+//    Only a root that is not a hash join — a bare scan, or a sort-merge
+//    join (ablation only) — still hands the aggregate batches, which
+//    AggFold::Fold consumes row by row.
+//
+// The groupjoin folds a probe row matching `count` build rows as one
+// weighted step — COUNT adds `count`, a probe-side SUM adds
+// `value * count`, a build-side SUM adds the key's pre-summed build
+// measure — so the partial it produces equals the row-by-row fold of the
+// materialized join output, rows_folded included. Accumulation wraps
+// (two's complement, AggAdd/AggMul): a weighted product may leave the int64
+// range where the expanded sum's partial sums stay inside it, and wrapping
+// keeps both sums bit-identical without signed-overflow UB.
 //
 // == Checksum merge-order independence ==
 //
@@ -54,12 +67,26 @@ struct AggSpec {
   BoundColumn group_column;  ///< if has_group_by
 };
 
-/// \brief One thread's aggregate accumulator. Fold rows in via
-/// AggFold::Fold; combine partials with MergeFrom.
+/// \brief Wrapping (two's complement) int64 addition and multiplication:
+/// the aggregate's accumulation arithmetic (see the header comment).
+inline int64_t AggAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t AggMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
+/// \brief One thread's aggregate accumulator. Rows fold in through a
+/// groupjoin (HashJoinOperator::FoldNext) or AggFold::Fold; combine
+/// partials with MergeFrom.
 struct PartialAggState {
   std::unordered_map<int64_t, int64_t> groups;  ///< GROUP BY only
   int64_t total = 0;      ///< SUM over all rows; row count for COUNT(*)
-  int64_t rows_folded = 0;  ///< input rows this partial consumed
+  /// Input rows this partial consumed — for a groupjoin, the join rows its
+  /// weighted steps stand for.
+  int64_t rows_folded = 0;
 
   /// \brief Key-wise addition of `other` into this partial. Exact: COUNT
   /// and SUM are commutative + associative, so merged partials reproduce
@@ -67,8 +94,9 @@ struct PartialAggState {
   void MergeFrom(PartialAggState&& other);
 };
 
-/// \brief An AggSpec resolved against a concrete child schema: the fold
-/// kernel shared by the single-threaded sink and the pre-aggregating
+/// \brief An AggSpec resolved against a concrete child schema: the row-by-row
+/// fold of a root that is not a hash join (a bare scan or a sort-merge
+/// join), shared by the single-threaded sink and the pre-aggregating
 /// exchange workers. Read-only after Resolve, so concurrent folds into
 /// distinct PartialAggStates need no synchronization.
 struct AggFold {
@@ -87,11 +115,13 @@ struct AggFold {
 
 class AggregateOperator final : public PhysicalOperator {
  public:
+  /// A hash-join child becomes a groupjoin folding into this sink
+  /// (HashJoinOperator::FoldInto); any other child is folded batch by batch.
   AggregateOperator(std::unique_ptr<PhysicalOperator> child, AggSpec spec);
 
-  /// Open() consumes the whole input: either by folding the child's batches
-  /// itself, or — when the child is an ExchangeOperator — by merging the
-  /// per-worker partials the exchange drained in parallel.
+  /// Open() consumes the whole input: through the hash-join child's
+  /// groupjoin, by merging the per-worker partials of an ExchangeOperator
+  /// child, or by folding any other child's batches.
   void Open() override;
   bool Next(Batch* out) override;
   void Close() override;
@@ -113,7 +143,7 @@ class AggregateOperator final : public PhysicalOperator {
  private:
   std::unique_ptr<PhysicalOperator> child_;
   AggSpec spec_;
-  AggFold fold_;
+  AggFold fold_;  ///< batch fold; unused under a hash-join child
 
   PartialAggState state_;            ///< fully merged at the end of Open()
   std::vector<int64_t> group_keys_;  ///< snapshot for chunked emission

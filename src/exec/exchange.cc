@@ -10,27 +10,24 @@ namespace bqo {
 
 namespace {
 
-/// One logical worker: pull batches off the probe pipeline until the scan
-/// cursor runs dry or the query stops, folding each into `partial`.
+/// One logical worker: fold the pipeline into `partial` until the scan
+/// cursor runs dry or the query stops.
 void FoldWorker(const Pipeline& pipe, const AggFold& fold, QueryContext* ctx,
                 PipelineWorkerState* ws, PartialAggState* partial) {
-  Batch batch;
   while (!CtxShouldStop(ctx)) {
     const int64_t start = ThreadCpuNanos();
-    const bool produced = PipelineParallelNext(pipe, &batch, ws);
-    if (produced) {
-      // Fault hook at the fold hand-off: a fired fault cancels the whole
-      // query first-error-wins, exactly as a real fold failure would.
-      Status fault =
-          FaultInjector::Global().Check(FaultInjector::Site::kExchangePush);
-      if (!fault.ok() && ctx != nullptr) ctx->Cancel(std::move(fault));
-      if (!CtxShouldStop(ctx)) fold.Fold(batch, partial);
-    }
+    // Fault hook at the fold hand-off: a fired fault cancels the whole
+    // query first-error-wins, exactly as a real fold failure would.
+    Status fault =
+        FaultInjector::Global().Check(FaultInjector::Site::kExchangePush);
+    if (!fault.ok() && ctx != nullptr) ctx->Cancel(std::move(fault));
+    const bool more =
+        !CtxShouldStop(ctx) && PipelineParallelFold(pipe, fold, ws, partial);
     // Whole-pipeline worker time (fold included) accumulates on the source
     // scan's counter, measured on the per-thread CPU clock so co-running
     // queries on a shared pool don't inflate it (see metrics.h).
     ws->scan.busy_ns += ThreadCpuNanos() - start;
-    if (!produced) break;
+    if (!more) break;
   }
 }
 
@@ -47,7 +44,13 @@ ExchangeOperator::ExchangeOperator(std::unique_ptr<PhysicalOperator> child,
   BQO_CHECK_MSG(pipe_.parallel(),
                 "exchange child must be a parallelizable pipeline");
   BQO_CHECK_GT(config_.ResolvedThreads(), 1);
-  fold_ = AggFold::Resolve(agg, schema_);
+  // The top probe stage is the plan-root join: a groupjoin folding straight
+  // into the workers' partials. A bare scan's batches fold through fold_.
+  if (pipe_.probes.empty()) {
+    fold_ = AggFold::Resolve(agg, schema_);
+  } else {
+    pipe_.probes.back()->FoldInto(agg);
+  }
 }
 
 void ExchangeOperator::Open() {

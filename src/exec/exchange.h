@@ -14,14 +14,16 @@
 // sink then calls DrainPartials(), a single fork-join scope: it spawns one
 // task per logical worker on the shared WorkerPool (src/server/
 // worker_pool.h; no per-query thread construction), each pulling scan
-// morsels off the shared cursor, streaming them through the whole probe
-// chain thread-locally and folding the output into a thread-local
-// PartialAggState (aggregate.h). It then Wait()s — helping run its own
-// queued tasks, so the drain progresses even on a saturated pool — and
-// returns the partials for the exact merge (MergeFrom commutes; see
-// aggregate.h). No raw intermediate rows cross threads above the top probe
-// chain, and no task outlives the call. The exchange produces no batches:
-// Next() must not be called.
+// morsels off the shared cursor and streaming them up the probe chain
+// thread-locally (PipelineParallelFold). The chain's top join is the plan
+// root, which the constructor turns into a groupjoin (hash_join.h): it
+// folds each probe row's pre-aggregated build matches straight into the
+// worker's PartialAggState (aggregate.h), so the root's M:N output is never
+// materialized; a bare-scan child's batches fold row by row. DrainPartials()
+// then Wait()s — helping run its own queued tasks, so the drain progresses
+// even on a saturated pool — and returns the partials for the exact merge
+// (MergeFrom commutes; see aggregate.h). No task outlives the call. The
+// exchange produces no batches: Next() must not be called.
 //
 // Stats discipline: workers accumulate FilterStats/OperatorStats deltas in
 // their private PipelineWorkerState (scan scratch + per-join ProbeStates);
@@ -31,7 +33,8 @@
 // run's (the observed-lambda numbers of Section 6.3 stay exact under
 // parallelism). The per-worker agg counters (rows folded, partial group
 // counts) merge into this operator's agg_rows_folded / agg_partial_groups
-// the same way (metrics.h).
+// the same way (metrics.h); rows_out counts the folded rows, which under a
+// groupjoin are the join rows its weighted folds stand for.
 //
 // Cancellation (query_context.h): workers poll the query's context at every
 // morsel claim, stride and batch, so a cancelled drain runs dry in bounded
@@ -51,8 +54,9 @@ class ExchangeOperator final : public PhysicalOperator {
  public:
   /// `child` must decompose into a parallelizable pipeline
   /// (BuildProbePipeline(child).parallel()) and `config` must resolve to
-  /// more than one thread. `agg` is resolved against the child schema
-  /// (CHECKs on missing columns).
+  /// more than one thread. A hash-join `child` becomes a groupjoin folding
+  /// `agg` (HashJoinOperator::FoldInto); a bare scan's `agg` is resolved
+  /// against its schema. Both CHECK on missing columns.
   ExchangeOperator(std::unique_ptr<PhysicalOperator> child, ExecConfig config,
                    const AggSpec& agg, std::string label);
 
@@ -74,7 +78,7 @@ class ExchangeOperator final : public PhysicalOperator {
   std::unique_ptr<PhysicalOperator> child_;
   Pipeline pipe_;  ///< decomposition of child_ (source + probe stages)
   ExecConfig config_;
-  AggFold fold_;  ///< shared, read-only fold kernel
+  AggFold fold_;  ///< bare-scan child only: shared, read-only fold kernel
 };
 
 }  // namespace bqo

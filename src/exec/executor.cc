@@ -231,11 +231,12 @@ std::unique_ptr<AggregateOperator> CompilePlan(
   // Pipeline-parallel execution: one exchange directly below the aggregate
   // drains the topmost probe pipeline (scan -> probe -> ... -> probe) with
   // N workers; hash-join builds below parallelize inside their own Open().
-  // The aggregate is compiled *into* the exchange: each worker folds its
-  // probe-chain output into a thread-local partial and the aggregate sink
-  // merges the partials, so no serial stage and no cross-thread batch
-  // traffic remains above the top probe chain. threads == 1 compiles the
-  // exact single-threaded plan, bit-for-bit.
+  // The aggregate is compiled *into* the exchange: each worker folds the
+  // pipeline into a thread-local partial — through the root join's
+  // groupjoin (hash_join.h) — and the aggregate sink merges the partials,
+  // so no serial stage and no cross-thread batch traffic remains above the
+  // top probe chain. threads == 1 compiles the exact single-threaded plan,
+  // whose sink runs the same groupjoin fold itself.
   if (options.exec.ResolvedThreads() > 1 &&
       BuildProbePipeline(root.get()).parallel()) {
     auto exchange = std::make_unique<ExchangeOperator>(
@@ -288,10 +289,9 @@ QueryMetrics ExecutePlan(const Plan& plan, const ExecutionOptions& options) {
   metrics.result_checksum = agg->ResultChecksum();
   CollectStats(agg.get(), &metrics);
   metrics.filters = runtime.stats;
-  // The query's own task time: driver CPU plus every pool task's CPU
-  // (merged into the source scans' worker_cpu_ns). Parallel filter fills
-  // (FillFilterParallel partials) carry no per-worker stats and are not
-  // included; their work is bounded by the build-side inserts.
+  // The query's own task time: driver CPU plus every pool task's CPU —
+  // pipeline drains merged into the source scans' worker_cpu_ns, parallel
+  // filter fills into the creating joins' (metrics.h).
   metrics.cpu_ns = driver_cpu_ns;
   for (const OperatorStats& op : metrics.operators) {
     metrics.cpu_ns += op.worker_cpu_ns;

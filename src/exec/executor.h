@@ -18,11 +18,14 @@
 //  * The topmost probe chain (scan -> probe -> ... -> probe) runs wide
 //    behind a single ExchangeOperator compiled directly below the
 //    aggregate — parallelism stops at the final breaker, not at the leaves.
-//  * The final aggregate is compiled *into* that exchange (exchange.h):
-//    each worker folds its probe-chain output into a thread-local
-//    PartialAggState and the AggregateOperator sink merges the per-worker
-//    partials — no serial consume loop and no raw batches above the top
-//    probe chain.
+//  * The final aggregate is compiled *into* that exchange (exchange.h),
+//    and the plan-root hash join into the aggregate: the root is a
+//    groupjoin (hash_join.h) that folds each probe row's pre-aggregated
+//    build matches into a worker's thread-local PartialAggState, and the
+//    AggregateOperator sink merges the per-worker partials — the root's
+//    M:N output is never materialized, and no serial consume loop remains
+//    above the top probe chain. threads == 1 runs the same groupjoin fold
+//    in the sink.
 //
 // The recursive Open() order still realizes Algorithm 1's filter-dependency
 // order: every build pipeline (and the filter it creates) completes before

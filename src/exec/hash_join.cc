@@ -131,9 +131,9 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
   if (config_.creates_filter_id >= 0) {
     side->filter = CreateFilter(config_.filter_config,
                                 static_cast<int64_t>(hashes.size()));
-    FillFilterParallel(side->filter.get(), config_.filter_config,
-                       hashes.data(), static_cast<int64_t>(hashes.size()),
-                       config_.exec, runtime_->context);
+    stats_.worker_cpu_ns += FillFilterParallel(
+        side->filter.get(), config_.filter_config, hashes.data(),
+        static_cast<int64_t>(hashes.size()), config_.exec, runtime_->context);
     side->filter_inserted = side->filter->NumInserted();
     side->filter_size_bytes = side->filter->SizeBytes();
   }
@@ -232,6 +232,8 @@ void HashJoinOperator::Open() {
     }
   }
 
+  if (fold_.active) BuildGroupJoinTable();
+
   // ---- Probe side opens only after the filter exists ----
   probe_->Open();
   local_probe_ = ProbeState{};
@@ -255,19 +257,24 @@ void HashJoinOperator::InitProbeState(ProbeState* ps) const {
   ps->pending_matched = false;
 }
 
-void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
-  const int n = ps->in.num_rows;
+void HashJoinOperator::HashProbeKeys(const Batch& batch,
+                                     uint64_t* hashes) const {
   const size_t nkeys = config_.probe_key_positions.size();
   const int64_t* key_cols[8];
   for (size_t k = 0; k < nkeys; ++k) {
-    key_cols[k] = ps->in.col(config_.probe_key_positions[k]);
+    key_cols[k] = batch.col(config_.probe_key_positions[k]);
   }
-  uint64_t* hashes = ps->hashes.data();
   if (nkeys == 1) {
-    HashColumnKernel(key_cols[0], n, hashes);
+    HashColumnKernel(key_cols[0], batch.num_rows, hashes);
   } else {
-    HashCompositeBatchKernel(key_cols, nkeys, n, hashes);
+    HashCompositeBatchKernel(key_cols, nkeys, batch.num_rows, hashes);
   }
+}
+
+void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
+  const int n = ps->in.num_rows;
+  uint64_t* hashes = ps->hashes.data();
+  HashProbeKeys(ps->in, hashes);
   // Prefetch the bucket heads: the stride's lookups are independent, so the
   // misses overlap here instead of serializing one per probe row.
   for (int r = 0; r < n; ++r) {
@@ -275,12 +282,12 @@ void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
   }
 }
 
-bool HashJoinOperator::KeysEqual(const JoinBuildSide::Entry& entry,
-                                 const Batch& batch, int row) const {
+bool HashJoinOperator::KeysEqual(int32_t row_start, const Batch& batch,
+                                 int row) const {
   const size_t nkeys = config_.build_key_positions.size();
   for (size_t k = 0; k < nkeys; ++k) {
     const int64_t build_val =
-        side_->rows[static_cast<size_t>(entry.row_start) +
+        side_->rows[static_cast<size_t>(row_start) +
                     static_cast<size_t>(config_.build_key_positions[k])];
     const int64_t probe_val =
         batch.col(config_.probe_key_positions[k])[row];
@@ -390,7 +397,7 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
           // chain mixes genuine duplicates with bucket collisions, and the
           // hash test rejects collisions with one resident comparison.
           if (e.hash == ps->pending_hash &&
-              KeysEqual(e, ps->in, probe_row)) {
+              KeysEqual(e.row_start, ps->in, probe_row)) {
             if (!ps->pending_matched) {
               ps->pending_matched = true;
               ++ps->rows_matched;
@@ -455,9 +462,185 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
 }
 
 bool HashJoinOperator::Next(Batch* out) {
+  BQO_CHECK_MSG(!fold_.active, "a groupjoin has no batch output");
   TimerGuard timer(&stats_);
   return ProbeNext(out, &local_probe_,
                    [this](Batch* in) { return probe_->Next(in); });
+}
+
+void HashJoinOperator::FoldInto(const AggSpec& agg) {
+  BQO_CHECK_MSG(config_.residual_filters.empty(),
+                "a groupjoin root carries no residual filters");
+  auto resolve = [this](const BoundColumn& c) {
+    const int pos = schema_.PositionOf(c);
+    BQO_CHECK_MSG(pos >= 0, "aggregate column missing from the root join");
+    const auto& src = config_.output_sources[static_cast<size_t>(pos)];
+    return FoldColumn{src.first, src.second};
+  };
+  fold_ = GroupJoinFold{};
+  fold_.active = true;
+  if (agg.kind == AggKind::kSum) fold_.sum = resolve(agg.sum_column);
+  if (agg.has_group_by) fold_.group = resolve(agg.group_column);
+  stats_.groupjoin = true;
+}
+
+void HashJoinOperator::BuildGroupJoinTable() {
+  GroupJoinTable& gj = groupjoin_;
+  gj = GroupJoinTable{};
+  const size_t n = side_->entries.size();
+  const uint64_t num_buckets = NextPow2(n < 8 ? 16 : n * 2);
+  gj.buckets.assign(num_buckets, -1);
+  gj.bucket_mask = num_buckets - 1;
+
+  const size_t nkeys = config_.build_key_positions.size();
+  auto same_key = [&](int32_t a, int32_t b) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      const size_t pos = static_cast<size_t>(config_.build_key_positions[k]);
+      if (side_->rows[static_cast<size_t>(a) + pos] !=
+          side_->rows[static_cast<size_t>(b) + pos]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const bool build_sum = fold_.sum.pos >= 0 && fold_.sum.from_build;
+  const bool build_group = fold_.group.pos >= 0 && fold_.group.from_build;
+  auto column = [&](int32_t row_start, int pos) {
+    return side_->rows[static_cast<size_t>(row_start) +
+                       static_cast<size_t>(pos)];
+  };
+
+  // Build-side GROUP BY: (key index, group value, measure) per build row,
+  // for the grouping sort below.
+  struct Tagged {
+    int32_t key;
+    int64_t group;
+    int64_t measure;
+  };
+  std::vector<Tagged> tagged;
+  if (build_group) tagged.reserve(n);
+
+  for (const JoinBuildSide::Entry& e : side_->entries) {
+    const uint64_t b = e.hash & gj.bucket_mask;
+    int32_t k = gj.buckets[b];
+    while (k >= 0) {
+      const GroupJoinTable::Key& key = gj.keys[static_cast<size_t>(k)];
+      if (key.hash == e.hash && same_key(key.row_start, e.row_start)) break;
+      k = key.next;
+    }
+    if (k < 0) {
+      k = static_cast<int32_t>(gj.keys.size());
+      gj.keys.push_back(
+          GroupJoinTable::Key{e.hash, gj.buckets[b], e.row_start, 0, 0, 0, 0});
+      gj.buckets[b] = k;
+    }
+    GroupJoinTable::Key& key = gj.keys[static_cast<size_t>(k)];
+    const int64_t measure = build_sum ? column(e.row_start, fold_.sum.pos) : 0;
+    ++key.count;
+    key.sum = AggAdd(key.sum, measure);
+    if (build_group) {
+      tagged.push_back(
+          Tagged{k, column(e.row_start, fold_.group.pos), measure});
+    }
+  }
+
+  // Run-length aggregate the sorted (key, group value) pairs, so each key
+  // owns a contiguous slice of its distinct groups.
+  std::sort(tagged.begin(), tagged.end(), [](const Tagged& a, const Tagged& b) {
+    return a.key != b.key ? a.key < b.key : a.group < b.group;
+  });
+  for (size_t i = 0; i < tagged.size(); ++i) {
+    const Tagged& t = tagged[i];
+    const bool new_key = i == 0 || tagged[i - 1].key != t.key;
+    GroupJoinTable::Key& key = gj.keys[static_cast<size_t>(t.key)];
+    if (new_key) key.group_begin = static_cast<int32_t>(gj.groups.size());
+    if (new_key || tagged[i - 1].group != t.group) {
+      gj.groups.push_back(GroupJoinTable::Group{t.group, 0, 0});
+    }
+    GroupJoinTable::Group& g = gj.groups.back();
+    ++g.count;
+    g.sum = AggAdd(g.sum, t.measure);
+    key.group_end = static_cast<int32_t>(gj.groups.size());
+  }
+}
+
+bool HashJoinOperator::FoldNext(ProbeState* ps, const NextInputFn& next_input,
+                                PartialAggState* state) {
+  if (ps->input_done || !next_input(&ps->in)) {
+    ps->input_done = true;
+    return false;
+  }
+  const Batch& in = ps->in;
+  const int n = in.num_rows;
+  const GroupJoinTable& gj = groupjoin_;
+  uint64_t* hashes = ps->hashes.data();
+  HashProbeKeys(in, hashes);
+  for (int r = 0; r < n; ++r) {
+    __builtin_prefetch(&gj.buckets[hashes[r] & gj.bucket_mask], 0, 1);
+  }
+
+  // Per matched probe row, the weighted step of the materialized fold: a
+  // value v repeated over `count` join rows adds v * count (aggregate.h).
+  const bool probe_sum = fold_.sum.pos >= 0 && !fold_.sum.from_build;
+  const bool build_sum = fold_.sum.pos >= 0 && fold_.sum.from_build;
+  const int64_t* sums = probe_sum ? in.col(fold_.sum.pos) : nullptr;
+  const int64_t* probe_groups =
+      fold_.group.pos >= 0 && !fold_.group.from_build
+          ? in.col(fold_.group.pos)
+          : nullptr;
+  const bool build_group = fold_.group.pos >= 0 && fold_.group.from_build;
+  auto add = [state](const int64_t* group, int64_t v) {
+    if (group != nullptr) {
+      int64_t& dst = state->groups[*group];
+      dst = AggAdd(dst, v);
+    }
+    state->total = AggAdd(state->total, v);
+  };
+
+  int64_t matched = 0;
+  int64_t joined = 0;
+  for (int r = 0; r < n; ++r) {
+    const uint64_t h = hashes[r];
+    int32_t k = gj.buckets[h & gj.bucket_mask];
+    while (k >= 0) {
+      const GroupJoinTable::Key& key = gj.keys[static_cast<size_t>(k)];
+      if (key.hash == h && KeysEqual(key.row_start, in, r)) break;
+      k = key.next;
+    }
+    if (k < 0) continue;
+    const GroupJoinTable::Key& key = gj.keys[static_cast<size_t>(k)];
+    ++matched;
+    joined += key.count;
+    if (build_group) {
+      for (int32_t g = key.group_begin; g < key.group_end; ++g) {
+        const GroupJoinTable::Group& grp = gj.groups[static_cast<size_t>(g)];
+        const int64_t v = probe_sum   ? AggMul(sums[r], grp.count)
+                          : build_sum ? grp.sum
+                                      : grp.count;
+        add(&grp.value, v);
+      }
+    } else {
+      const int64_t v = probe_sum   ? AggMul(sums[r], key.count)
+                        : build_sum ? key.sum
+                                    : key.count;
+      add(probe_groups != nullptr ? &probe_groups[r] : nullptr, v);
+    }
+  }
+  ps->rows_in += n;
+  ps->rows_matched += matched;
+  ps->rows_prefilter += joined;
+  ps->rows_out += joined;
+  state->rows_folded += joined;
+  return true;
+}
+
+void HashJoinOperator::FoldAll(PartialAggState* state) {
+  TimerGuard timer(&stats_);
+  const NextInputFn next_input = [this](Batch* in) {
+    return probe_->Next(in);
+  };
+  while (FoldNext(&local_probe_, next_input, state)) {
+  }
 }
 
 void HashJoinOperator::MergeProbeStats(ProbeState* ps) {
@@ -486,6 +669,7 @@ void HashJoinOperator::Close() {
   // for its other owners.
   side_ = nullptr;
   build_side_.reset();
+  groupjoin_ = GroupJoinTable{};
 }
 
 }  // namespace bqo

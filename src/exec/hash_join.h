@@ -28,12 +28,32 @@
 // batched: matched rows buffer into a candidate stride, each residual
 // winnows a selection vector via MayContainBatch (hashing the stride's keys
 // in one pass), and only the survivors are materialized.
+//
+// == Groupjoin at the plan root ==
+//
+// The plan-root hash join produces no batches. Its consumer — the
+// aggregate sink, or the pre-aggregating exchange above it — turns it into
+// a groupjoin (FoldInto) before Open(), and Open() derives a query-private
+// pre-aggregate from the build side, whether built here or shared: one
+// entry per distinct join key with its build-row count, the pre-summed
+// build measure when the SUM column comes from the build side, and, when
+// the GROUP BY column does, per-group counts and sums under the key.
+// FoldNext then folds each probe row in O(1) (O(groups under the key) for
+// a build-side GROUP BY) instead of O(matches): an M:N join's output is
+// never materialized. The root never carries residual filters (push-down
+// gives it an empty incoming set), so every match is a join row. Counters
+// keep their logical meaning, counted with weights: rows_out and
+// rows_prefilter are the join rows the fold stands for, probe_rows_in and
+// probe_rows_matched are unchanged, and the fold's rows_folded equals the
+// materialized row count — Fig 9's join tuples and the aggregate's results
+// are bit-identical to the materializing plan (aggregate.h).
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/exec/aggregate.h"
 #include "src/exec/build_side.h"
 #include "src/exec/exec_config.h"
 #include "src/exec/operator.h"
@@ -132,7 +152,65 @@ class HashJoinOperator final : public PhysicalOperator {
   /// with the owning worker quiesced (joined); not thread-safe.
   void MergeProbeStats(ProbeState* ps);
 
+  /// \brief Make this join a groupjoin folding into the aggregate `agg`
+  /// (header comment). Call once, before Open(); CHECKs that `agg`'s
+  /// columns are in this join's output and that it has no residual
+  /// filters. Next() is unavailable afterwards.
+  void FoldInto(const AggSpec& agg);
+
+  /// \brief Groupjoin step: pull one probe input batch through
+  /// `next_input` and fold every probe row's pre-aggregated matches into
+  /// `state`; false once the input is exhausted. Re-entrant like ProbeNext:
+  /// exchange workers call it concurrently, each with its own ProbeState
+  /// and PartialAggState.
+  bool FoldNext(ProbeState* ps, const NextInputFn& next_input,
+                PartialAggState* state);
+
+  /// \brief Single-threaded groupjoin: fold the whole probe input into
+  /// `state` through FoldNext.
+  void FoldAll(PartialAggState* state);
+
  private:
+  /// Where the groupjoin reads an aggregate input: absent (pos < 0), or
+  /// position `pos` of a build row or of the probe input batch.
+  struct FoldColumn {
+    bool from_build = false;
+    int pos = -1;
+  };
+  /// The groupjoin's resolved aggregate (FoldInto).
+  struct GroupJoinFold {
+    bool active = false;
+    FoldColumn sum;    ///< kSum only
+    FoldColumn group;  ///< GROUP BY only
+  };
+  /// Query-private pre-aggregate of the build side, derived in Open():
+  /// a bucket-chained table over the distinct join keys.
+  struct GroupJoinTable {
+    struct Key {
+      uint64_t hash;
+      int32_t next;       ///< chain, -1 = end
+      int32_t row_start;  ///< a build row carrying the key (row-major)
+      int64_t count;      ///< build rows with this key
+      int64_t sum;        ///< build-side SUM: the key's pre-summed measure
+      /// Build-side GROUP BY: the key's slice [group_begin, group_end) of
+      /// `groups`.
+      int32_t group_begin;
+      int32_t group_end;
+    };
+    struct Group {
+      int64_t value;  ///< GROUP BY value
+      int64_t count;  ///< build rows with this key and group value
+      int64_t sum;    ///< build-side SUM over those rows
+    };
+    std::vector<int32_t> buckets;  ///< -1 = empty; size is a power of two
+    uint64_t bucket_mask = 0;
+    std::vector<Key> keys;
+    std::vector<Group> groups;
+  };
+
+  /// \brief Derive groupjoin_ from side_ (one pass over the build rows,
+  /// plus a sort of them when the GROUP BY column is on the build side).
+  void BuildGroupJoinTable();
   /// \brief Construct this join's build side from scratch: open/drain/close
   /// the build child (wide when parallelizable, canonical order either
   /// way), hash, create+fill the filter, bucketize, and snapshot the
@@ -147,11 +225,14 @@ class HashJoinOperator final : public PhysicalOperator {
   /// \brief Composite-key hash of every build row, batched.
   void HashBuildRows(const JoinBuildSide& side,
                      std::vector<uint64_t>* hashes) const;
+  /// \brief Composite join-key hash of every row of `batch` into `hashes`.
+  void HashProbeKeys(const Batch& batch, uint64_t* hashes) const;
   /// \brief Hash every row of ps->in into ps->hashes and prefetch the
   /// bucket heads the stride is about to touch.
   void HashProbeBatch(ProbeState* ps) const;
-  bool KeysEqual(const JoinBuildSide::Entry& entry, const Batch& batch,
-                 int row) const;
+  /// \brief Join keys of the build row at `row_start` equal those of
+  /// `batch`'s probe row `row`.
+  bool KeysEqual(int32_t row_start, const Batch& batch, int row) const;
   /// \brief Batched residual-filter pass over `ncand` buffered candidates:
   /// winnows ps->sel in place and returns the surviving count.
   int WinnowResiduals(ProbeState* ps, int ncand);
@@ -169,8 +250,12 @@ class HashJoinOperator final : public PhysicalOperator {
   const JoinBuildSide* side_ = nullptr;
   int build_width_ = 0;
 
-  /// Probe state of the single-threaded Next() path (merged at Close()).
+  /// Probe state of the single-threaded Next()/FoldAll() path (merged at
+  /// Close()).
   ProbeState local_probe_;
+
+  GroupJoinFold fold_;
+  GroupJoinTable groupjoin_;  ///< built in Open() when fold_.active
 
   /// residual_uses_probe_hash_[i]: residual filter i's key columns coincide
   /// (position by position) with this join's equi-join keys, so the cached

@@ -19,6 +19,11 @@ struct OperatorStats {
   int plan_node_id = -1;
   int64_t rows_out = 0;         ///< after residual bitvector filters
   int64_t rows_prefilter = 0;   ///< before bitvector filters at this op
+  /// kHashJoin only: this is the plan-root join, folding its output into
+  /// the aggregate as a groupjoin (hash_join.h) instead of producing
+  /// batches. rows_out/rows_prefilter still count the join rows it stands
+  /// for.
+  bool groupjoin = false;
 
   // == Probe-side match accounting (kHashJoin only) ==
   //
@@ -53,11 +58,13 @@ struct OperatorStats {
   /// exchange's probe-pipeline draining, or a hash-join/sort-merge build
   /// drain. 0 = the phase ran single-threaded.
   int parallel_workers = 0;
-  /// Summed per-task thread-CPU ns of the pool tasks that drained this
-  /// operator's pipeline (source scans only; 0 on the single-threaded
-  /// path, whose time is the driver's). Unlike ns_inclusive this is a pure
-  /// CPU-clock quantity, so QueryMetrics::cpu_ns — driver CPU plus these —
-  /// is immune to co-running queries on the shared WorkerPool.
+  /// Summed per-task thread-CPU ns of the pool tasks that ran this
+  /// operator's parallel work: a source scan's pipeline drain (exchange or
+  /// build-side drain workers), a hash join's per-worker filter fill
+  /// (FillFilterParallel). 0 on the single-threaded path, whose time is the
+  /// driver's. Unlike ns_inclusive this is a pure CPU-clock quantity, so
+  /// QueryMetrics::cpu_ns — driver CPU plus these — is immune to
+  /// co-running queries on the shared WorkerPool.
   int64_t worker_cpu_ns = 0;
 
   // == Aggregation counters (kAggregate and kExchange) ==
@@ -68,6 +75,8 @@ struct OperatorStats {
   // the exchange's counters after joining the workers, and the aggregate
   // sink records the merged totals. agg_rows_folded is therefore exactly
   // the single-threaded aggregate's input row count at every thread count.
+  // Under a groupjoin root it counts the join rows the weighted folds stand
+  // for, which equals the materialized input row count.
 
   /// Input rows folded into (partial) aggregate state at this operator.
   int64_t agg_rows_folded = 0;

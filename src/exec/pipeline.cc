@@ -44,6 +44,27 @@ void FillRange(BitvectorFilter* filter, const uint64_t* hashes, int64_t begin,
   }
 }
 
+/// One per-worker filter-fill task: build the partial over hashes[begin,
+/// end) into *out, left null when the query stopped or the range is empty.
+/// Bloom partials (classical and blocked) share the final filter's geometry
+/// (sized for all `n` keys) so blocks OR together; Exact partials only need
+/// their own partition's capacity.
+void FillPartial(std::unique_ptr<BitvectorFilter>* out,
+                 const FilterConfig& config, const uint64_t* hashes,
+                 int64_t begin, int64_t end, int64_t n, QueryContext* ctx) {
+  if (CtxShouldStop(ctx) || begin >= end) return;
+  const bool bloom_like = config.kind == FilterKind::kBloom ||
+                          config.kind == FilterKind::kBlockedBloom;
+  auto partial = CreateFilter(config, bloom_like ? n : end - begin);
+  if (config.kind == FilterKind::kBloom) {
+    static_cast<BloomFilter*>(partial.get())->EnableInsertTracking();
+  } else if (config.kind == FilterKind::kBlockedBloom) {
+    static_cast<BlockedBloomFilter*>(partial.get())->EnableInsertTracking();
+  }
+  FillRange(partial.get(), hashes, begin, end, ctx);
+  *out = std::move(partial);
+}
+
 /// Pull the next output batch of `stage` (0 = scan, i = probes[i-1]). The
 /// recursion materializes the Volcano pull chain over per-worker states;
 /// `morsel_confined` selects the canonical (one-morsel) scan mode.
@@ -108,10 +129,20 @@ void InitPipelineWorker(const Pipeline& pipe, PipelineWorkerState* ws) {
   }
 }
 
-bool PipelineParallelNext(const Pipeline& pipe, Batch* out,
-                          PipelineWorkerState* ws) {
-  return StageNext(pipe, pipe.probes.size(), /*morsel_confined=*/false, out,
-                   ws);
+bool PipelineParallelFold(const Pipeline& pipe, const AggFold& fold,
+                          PipelineWorkerState* ws, PartialAggState* partial) {
+  if (pipe.probes.empty()) {
+    if (!pipe.source->ParallelNext(&ws->scan_out, &ws->scan)) return false;
+    fold.Fold(ws->scan_out, partial);
+    return true;
+  }
+  const size_t top = pipe.probes.size();
+  return pipe.probes[top - 1]->FoldNext(
+      &ws->probes[top - 1],
+      [&](Batch* in) {
+        return StageNext(pipe, top - 1, /*morsel_confined=*/false, in, ws);
+      },
+      partial);
 }
 
 void MergePipelineWorkerStats(const Pipeline& pipe, PipelineWorkerState* ws) {
@@ -192,15 +223,15 @@ std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
   return rows;
 }
 
-void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
-                        const uint64_t* hashes, int64_t n,
-                        const ExecConfig& exec, QueryContext* ctx) {
+int64_t FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
+                           const uint64_t* hashes, int64_t n,
+                           const ExecConfig& exec, QueryContext* ctx) {
   const int workers = exec.ResolvedThreads();
   // Small builds fill sequentially — the task submission + partial
   // allocation isn't worth it.
   if (workers <= 1 || n < kMinParallelFilterKeys) {
     FillRange(filter, hashes, 0, n, ctx);
-    return;
+    return 0;
   }
 
   // Every kind's inserts commute (set union / bitwise OR), so per-worker
@@ -210,37 +241,28 @@ void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
   // the insert journals replayed against the merged prefix).
   std::vector<std::unique_ptr<BitvectorFilter>> partials(
       static_cast<size_t>(workers));
+  std::vector<int64_t> task_cpu_ns(static_cast<size_t>(workers), 0);
   WorkerPool::TaskGroup group(&WorkerPool::Global());
   const int64_t chunk = (n + workers - 1) / workers;
   for (int w = 0; w < workers; ++w) {
-    group.Spawn([&partials, &config, hashes, n, chunk, w, ctx] {
-      if (CtxShouldStop(ctx)) return;
-      const int64_t begin = static_cast<int64_t>(w) * chunk;
-      const int64_t end = std::min(n, begin + chunk);
-      if (begin >= end) return;
-      // Bloom partials (classical and blocked) share the final filter's
-      // geometry (sized for the whole build) so blocks OR together; Exact
-      // partials only need their own partition's capacity.
-      const bool bloom_like = config.kind == FilterKind::kBloom ||
-                              config.kind == FilterKind::kBlockedBloom;
-      auto partial = CreateFilter(config, bloom_like ? n : end - begin);
-      if (config.kind == FilterKind::kBloom) {
-        static_cast<BloomFilter*>(partial.get())->EnableInsertTracking();
-      } else if (config.kind == FilterKind::kBlockedBloom) {
-        static_cast<BlockedBloomFilter*>(partial.get())
-            ->EnableInsertTracking();
-      }
-      FillRange(partial.get(), hashes, begin, end, ctx);
-      partials[static_cast<size_t>(w)] = std::move(partial);
+    group.Spawn([&partials, &task_cpu_ns, &config, hashes, n, chunk, w, ctx] {
+      const int64_t start = ThreadCpuNanos();
+      FillPartial(&partials[static_cast<size_t>(w)], config, hashes,
+                  static_cast<int64_t>(w) * chunk,
+                  std::min(n, static_cast<int64_t>(w + 1) * chunk), n, ctx);
+      task_cpu_ns[static_cast<size_t>(w)] = ThreadCpuNanos() - start;
     });
   }
   group.Wait();
+  int64_t cpu_ns = 0;
+  for (int64_t ns : task_cpu_ns) cpu_ns += ns;
   // A cancelled fill skips the merge entirely: the partially built filter
   // is never consulted (the query unwinds before its probe side opens).
-  if (CtxShouldStop(ctx)) return;
+  if (CtxShouldStop(ctx)) return cpu_ns;
   for (auto& partial : partials) {
     if (partial != nullptr) filter->MergeFrom(*partial);
   }
+  return cpu_ns;
 }
 
 }  // namespace bqo

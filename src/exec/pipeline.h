@@ -18,12 +18,15 @@
 // entirely thread-locally; the bitvector filters and join tables are
 // read-only by the time any pipeline runs. Two draining modes:
 //
-//  * Pre-aggregating (ExchangeOperator, via PipelineParallelNext): batches
-//    may span morsels, and each worker folds its output batches into a
+//  * Pre-aggregating (ExchangeOperator, via PipelineParallelFold): batches
+//    may span morsels, and each worker folds the pipeline into a
 //    thread-local PartialAggState (aggregate.h); the aggregate sink merges
-//    the partials. This is how the executor runs the plan's topmost probe
-//    chain and final aggregate wide — the fold commutes, so the merged
-//    group map, total, and checksum equal the single-threaded fold exactly.
+//    the partials. The pipeline's top join is the plan root, a groupjoin
+//    (hash_join.h): it folds its probe input's pre-aggregated matches
+//    instead of producing batches, so no stage materializes the root's
+//    output. This is how the executor runs the plan's topmost probe chain
+//    and final aggregate wide — the fold commutes, so the merged group map,
+//    total, and checksum equal the single-threaded fold exactly.
 //  * Canonical (DrainPipelineParallel): workers claim one morsel at a time
 //    and the per-morsel output chunks are reassembled in morsel order, which
 //    equals the single-threaded row order exactly (scan rows stream in
@@ -39,6 +42,7 @@
 
 #include <vector>
 
+#include "src/exec/aggregate.h"
 #include "src/exec/exec_config.h"
 #include "src/exec/hash_join.h"
 #include "src/exec/scan.h"
@@ -66,18 +70,21 @@ Pipeline BuildProbePipeline(PhysicalOperator* op);
 struct PipelineWorkerState {
   ScanOperator::WorkerState scan;
   std::vector<HashJoinOperator::ProbeState> probes;  ///< aligned w/ Pipeline
+  Batch scan_out;  ///< a bare-scan pipeline's batch (PipelineParallelFold)
 };
 
 /// \brief Size `ws` for `pipe`. Call after the pipeline's operators are
 /// Open (the scan's filter set and each join's residual set are fixed then).
 void InitPipelineWorker(const Pipeline& pipe, PipelineWorkerState* ws);
 
-/// \brief Produce the pipeline's next output batch, claiming scan morsels
-/// freely. Thread-safe across workers once the operators are Open, each
-/// with its own state. False when the scan cursor is exhausted and the
-/// batch came up empty.
-bool PipelineParallelNext(const Pipeline& pipe, Batch* out,
-                          PipelineWorkerState* ws);
+/// \brief Fold the pipeline's next batch into `partial`, claiming scan
+/// morsels freely: the top probe stage — a groupjoin (HashJoinOperator::
+/// FoldInto) — folds its next probe input batch (FoldNext); a bare-scan
+/// pipeline's next batch folds through `fold`. Thread-safe across workers
+/// once the operators are Open, each with its own state and partial. False
+/// when the scan cursor is exhausted.
+bool PipelineParallelFold(const Pipeline& pipe, const AggFold& fold,
+                          PipelineWorkerState* ws, PartialAggState* partial);
 
 /// \brief Fold `ws`'s accumulators into the pipeline's operators. Call
 /// exactly once per worker, after it is joined; not thread-safe.
@@ -104,8 +111,15 @@ std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
 /// thousand keys and a fired kFilterFill fault cancels it (first-error-
 /// wins); a cancelled fill leaves the filter partially built — harmless,
 /// since the whole query's results are void once its context is cancelled.
-void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
-                        const uint64_t* hashes, int64_t n,
-                        const ExecConfig& exec, QueryContext* ctx = nullptr);
+///
+/// Returns the summed thread-CPU ns of the fill's pool tasks (0 when the
+/// fill ran sequentially on the caller), for the creating join's
+/// OperatorStats::worker_cpu_ns: a task that a helping Wait() runs inline
+/// is excluded from the driver's CPU (WorkerPool::InlineTaskCpuNanos), so
+/// this is the only place the fill's parallel work is counted.
+int64_t FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
+                           const uint64_t* hashes, int64_t n,
+                           const ExecConfig& exec,
+                           QueryContext* ctx = nullptr);
 
 }  // namespace bqo

@@ -48,6 +48,7 @@ void WalkNode(const Plan& plan, const PlanNode& node, int depth,
     row.ns_self = op->ns_self;
     row.worker_cpu_ns = op->worker_cpu_ns;
     row.parallel_workers = op->parallel_workers;
+    row.groupjoin = op->groupjoin;
     if (metrics.total_ns > 0) {
       row.time_share = std::max<double>(0, static_cast<double>(op->ns_self)) /
                        static_cast<double>(metrics.total_ns);
@@ -157,6 +158,7 @@ std::string RenderExplainAnalyze(const ExplainReport& report) {
         op.est_prefilter, static_cast<long long>(op.actual_prefilter),
         static_cast<double>(std::max<int64_t>(0, op.ns_self)) / 1e6,
         op.time_share * 100.0);
+    if (op.groupjoin) out += " [groupjoin]";
     if (op.parallel_workers > 0) {
       out += StringFormat(" [%d workers, worker cpu %.3f ms]",
                           op.parallel_workers,

@@ -61,6 +61,7 @@ struct OperatorExplainRow {
   int64_t ns_self = 0;
   int64_t worker_cpu_ns = 0;
   int parallel_workers = 0;
+  bool groupjoin = false;  ///< OperatorStats::groupjoin: rendered [groupjoin]
   double time_share = 0;  ///< ns_self / query total_ns (clamped to >= 0)
 };
 

@@ -418,6 +418,53 @@ TEST(Observability, ExplainAnalyzeReportsEstimatesActualsAndFilterFpr) {
   }
 }
 
+/// The plan-root hash join folds into the aggregate (a groupjoin): its
+/// OperatorStats flag reaches its EXPLAIN row and renders as [groupjoin] on
+/// that row alone, while the label — and so every span name — stays the
+/// join's own, single-threaded and wide.
+TEST(Observability, ExplainMarksTheGroupJoinRoot) {
+  GlobalPoolGuard guard;
+  WorkerPool::ResetGlobal(2);
+  auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177, /*zipf=*/0.5);
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    QueryServiceOptions options = StarServiceOptions();
+    options.execution.exec.threads = threads;
+    QueryService service(&db->catalog, options);
+    const QueryResult r = service.Execute(db->spec);
+    ASSERT_TRUE(r.status.ok());
+    ASSERT_NE(r.explain, nullptr);
+
+    int flagged = 0;
+    for (const OperatorStats& op : r.metrics.operators) {
+      flagged += op.groupjoin;
+      if (op.groupjoin) {
+        EXPECT_EQ(op.type, OperatorType::kHashJoin);
+        EXPECT_EQ(op.plan_node_id, 0) << "the root join";
+      }
+    }
+    EXPECT_EQ(flagged, 1);
+
+    const std::vector<OperatorExplainRow>& rows = r.explain->operators;
+    ASSERT_FALSE(rows.empty());
+    EXPECT_TRUE(rows[0].groupjoin) << "preorder: root join first";
+    EXPECT_EQ(rows[0].label, "HJ#0");
+    for (size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_FALSE(rows[i].groupjoin) << rows[i].label;
+    }
+
+    const std::string text = RenderExplainAnalyze(*r.explain);
+    const size_t at = text.find("[groupjoin]");
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(text.find("[groupjoin]", at + 1), std::string::npos) << text;
+    const size_t line = text.rfind('\n', at) + 1;
+    EXPECT_EQ(text.compare(line, 4, "HJ#0"), 0) << text.substr(line, 40);
+    for (const TraceSpan& s : r.trace->spans()) {
+      EXPECT_EQ(s.name.find("groupjoin"), std::string::npos) << s.name;
+    }
+  }
+}
+
 TEST(Observability, FaultStruckQueryYieldsTruncatedTraceAndOneFailure) {
   GlobalPoolGuard guard;
   FaultGuard fault_guard;

@@ -31,6 +31,7 @@
 #include "src/exec/executor.h"
 #include "src/exec/pipeline.h"
 #include "src/plan/pushdown.h"
+#include "src/server/worker_pool.h"
 #include "test_util.h"
 
 namespace bqo {
@@ -281,6 +282,43 @@ TEST(PipelineParallel, BuildsAndExchangeRunOnNWorkers) {
   const QueryMetrics s = ExecutePlan(plan, single);
   for (const OperatorStats& op : s.operators) {
     EXPECT_EQ(op.parallel_workers, 0) << op.label;
+  }
+}
+
+/// A wide filter fill's pool tasks are the creating join's work: their
+/// thread CPU lands in that join's worker_cpu_ns, hence in the query's
+/// cpu_ns, whether a pool worker or the helping waiter runs them.
+TEST(PipelineParallel, FilterFillCpuCountsTowardQueryCpu) {
+  struct PoolGuard {
+    ~PoolGuard() { WorkerPool::ResetGlobal(0); }
+  } guard;
+  // One 12000-row dimension, no predicate: the root join's build (and its
+  // filter fill) exceeds the 8192-key parallel-fill threshold.
+  auto db = MakeStarDb(1, 30000, 12000, {-1.0}, 4242);
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  Plan plan = BuildRightDeepPlan(graph.value(), {0, 1});
+  PushDownBitvectors(&plan);
+
+  for (int pool : {1, 2, 4}) {
+    WorkerPool::ResetGlobal(pool);
+    ExecutionOptions options;
+    options.exec.threads = 4;
+    const QueryMetrics m = ExecutePlan(plan, options);
+    const std::string what = "pool=" + std::to_string(pool);
+    ASSERT_EQ(m.filters.size(), 1u) << what;
+    ASSERT_TRUE(m.filters[0].created) << what;
+    ASSERT_GE(m.filters[0].inserted, 8192) << what;
+    int64_t join_worker_cpu = -1;
+    int64_t worker_cpu = 0;
+    for (const OperatorStats& op : m.operators) {
+      worker_cpu += op.worker_cpu_ns;
+      if (op.type == OperatorType::kHashJoin) {
+        join_worker_cpu = op.worker_cpu_ns;
+      }
+    }
+    EXPECT_GT(join_worker_cpu, 0) << what;
+    EXPECT_GE(m.cpu_ns, worker_cpu) << what;
   }
 }
 
